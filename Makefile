@@ -1,5 +1,5 @@
 # Build/verify entry points. `make ci` is what the repo considers green:
-# vet, the documentation linter, and the full test suite under the race
+# gofmt, vet, the documentation linter, and the full test suite under the race
 # detector (the wear engine and pim.Sweep are concurrent; racing them is
 # part of tier-1).
 
@@ -9,7 +9,7 @@ GO ?= go
 # API + instrumented engine layers). Enforced by `make doclint`.
 DOC_PKGS = ./pim ./pim/kernel ./internal/obs ./internal/core ./internal/pool ./internal/serve ./internal/system ./internal/device ./internal/fleet
 
-.PHONY: all build vet test race race-obs race-core race-serve race-system race-fleet bench bench-alloc bench-json bench-current benchdiff report ci doclint promlint
+.PHONY: all build gofmt vet test race race-obs race-core race-serve race-system race-fleet bench bench-alloc bench-json bench-current benchdiff report ci doclint promlint
 
 all: build
 
@@ -18,6 +18,14 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fail when gofmt would rewrite any Go file. The
+# benchmark's build directory (.bench_build/, perfbench/run.sh) holds
+# third-party caches and is skipped.
+GOFMT ?= gofmt
+gofmt:
+	@out=$$($(GOFMT) -l . | grep -v '^\.bench_build/'); \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -128,4 +136,4 @@ report:
 # serving-throughput pair and BenchmarkFleet's draws/cold/cached/speedup
 # quartet included, timing and allocs/op both — against the committed
 # baseline: advisory locally, strict when BENCHDIFF_FLAGS=-strict.
-ci: vet doclint promlint race-obs race-core race-serve race-system race-fleet race bench bench-alloc benchdiff
+ci: gofmt vet doclint promlint race-obs race-core race-serve race-system race-fleet race bench bench-alloc benchdiff

@@ -204,31 +204,12 @@ func (a *Array) WriteCountsInto(dst []uint64) {
 	copy(dst, a.writes)
 }
 
-// ReadCountsInto is WriteCountsInto for the read-count matrix.
-func (a *Array) ReadCountsInto(dst []uint64) {
-	if len(dst) != len(a.reads) {
-		panic(fmt.Sprintf("array: count buffer holds %d cells, want %d", len(dst), len(a.reads)))
-	}
-	a.Flush()
-	copy(dst, a.reads)
-}
-
 // TotalWrites sums write counts over all cells.
 func (a *Array) TotalWrites() uint64 {
 	a.Flush()
 	var n uint64
 	for _, w := range a.writes {
 		n += w
-	}
-	return n
-}
-
-// TotalReads sums read counts over all cells.
-func (a *Array) TotalReads() uint64 {
-	a.Flush()
-	var n uint64
-	for _, r := range a.reads {
-		n += r
 	}
 	return n
 }
@@ -244,14 +225,4 @@ func (a *Array) MaxWrites() uint64 {
 		}
 	}
 	return m
-}
-
-// ResetCounters clears access counters but keeps cell state. Deferred
-// packed-runner counts are discarded along with the materialized ones.
-func (a *Array) ResetCounters() {
-	a.Flush()
-	for i := range a.writes {
-		a.writes[i] = 0
-		a.reads[i] = 0
-	}
 }

@@ -26,34 +26,11 @@ func (c OpCost) Add(o OpCost) OpCost {
 	return OpCost{CellReads: c.CellReads + o.CellReads, CellWrites: c.CellWrites + o.CellWrites}
 }
 
-// Scale multiplies a cost n times.
-func (c OpCost) Scale(n int) OpCost {
-	return OpCost{CellReads: c.CellReads * n, CellWrites: c.CellWrites * n}
-}
-
 // ConvMultiply is a b-bit multiply on a conventional architecture: read two
 // b-bit operands, compute in the ALU, write the 2b-bit product (§3.1: "32-
 // bit integer multiplication … incurs 64 cell reads and 64 cell writes").
 func ConvMultiply(bits int) OpCost {
 	return OpCost{CellReads: 2 * bits, CellWrites: 2 * bits}
-}
-
-// ConvAdd is a b-bit addition: read two operands, write the (b+1)-bit sum.
-func ConvAdd(bits int) OpCost {
-	return OpCost{CellReads: 2 * bits, CellWrites: bits + 1}
-}
-
-// ConvDotProduct is an n-element b-bit dot product on a conventional
-// architecture: n multiplies plus n−1 accumulating adds of the (growing)
-// partial sum, counting only memory traffic (operands in, final result
-// out; the running sum stays in registers). Reads: 2nb. Writes: the final
-// scalar, 2b + log₂n bits.
-func ConvDotProduct(n, bits int) OpCost {
-	width := 2 * bits
-	for m := 1; m < n; m *= 2 {
-		width++
-	}
-	return OpCost{CellReads: 2 * n * bits, CellWrites: width}
 }
 
 // PIMMultiply is the in-memory multiply cost in the given basis: every

@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"fmt"
-	"math/rand"
 )
 
 // StartGap is the classic low-overhead wear-leveling scheme for standard
@@ -96,9 +95,6 @@ func (s *StartGap) WriteCounts() []uint64 {
 	return out
 }
 
-// Registers exposes the two-register state (start, gap) for inspection.
-func (s *StartGap) Registers() (start, gap int) { return s.start, s.gap }
-
 // HotLineImbalance measures max/mean physical write counts after issuing
 // `writes` stores that all target logical line 0 — the adversarial
 // hot-line workload Start-Gap is designed to survive. Useful as a baseline
@@ -124,27 +120,4 @@ func HotLineImbalance(n, gapInterval, writes int) (float64, error) {
 	}
 	mean := float64(sum) / float64(len(counts))
 	return float64(max) / mean, nil
-}
-
-// RandomizedCheck exercises the leveler with a random workload and
-// verifies every read returns the last value written to that logical line.
-// It returns the first inconsistency.
-func RandomizedCheck(n, gapInterval, ops int, seed int64) error {
-	s, err := NewStartGap(n, gapInterval)
-	if err != nil {
-		return err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	shadow := make([]uint64, n)
-	for i := 0; i < ops; i++ {
-		la := rng.Intn(n)
-		if rng.Intn(2) == 0 {
-			v := rng.Uint64()
-			s.Write(la, v)
-			shadow[la] = v
-		} else if got := s.Read(la); got != shadow[la] {
-			return fmt.Errorf("baseline: line %d read %d, want %d (op %d)", la, got, shadow[la], i)
-		}
-	}
-	return nil
 }

@@ -60,11 +60,11 @@ type arena struct {
 // other epochs (memo-collision resolution), and one re-seedable rng.
 // A permGen is single-goroutine state; each worker owns its own.
 type permGen struct {
-	sched            mapping.Schedule
-	rng              *rand.Rand
-	within, between  *mapping.Perm
-	within2          *mapping.Perm
-	between2         *mapping.Perm
+	sched           mapping.Schedule
+	rng             *rand.Rand
+	within, between *mapping.Perm
+	within2         *mapping.Perm
+	between2        *mapping.Perm
 }
 
 // reset binds the generator to a schedule. Scratch carries over; only
@@ -107,15 +107,15 @@ func (g *permGen) between2At(epoch int) *mapping.Perm {
 // are created lazily by the ensure* helpers, sized by plan constants, so
 // a software-only workload never pays for replay scratch and vice versa.
 type engineScratch struct {
-	gen     permGen
-	rowW    []uint64 // per-physical-row weights (software rank-1 part)
-	rowMax  []uint64 // per-physical-row maxima (stepper live tracking)
-	touched []int32  // rows whose rowW became nonzero (sampled sw engine)
-	hist    []uint64 // [mask*rows+physRow] replay histogram
-	arch    []int32  // per-op within-mapped row
-	hw      *mapping.HwRenamer
-	cyc     *cycleScratch
-	bg      betweenScratch
+	gen       permGen
+	rowW      []uint64 // per-physical-row pending full-mask weights
+	rowMax    []uint64 // per-physical-row materialized maxima (open walks)
+	touched   []int32  // rows whose cells changed this advance (open walks)
+	arch      []int32  // per-op within-mapped row
+	hw        *mapping.HwRenamer
+	cyc       *cycleScratch
+	byBetween grouper[uint64] // a job's range members by between permutation
+	bufs      walkBufs        // the walk's own storage, when this is worker 0's bundle
 }
 
 // getScratch pops (or allocates) a worker scratch bundle.
@@ -165,13 +165,9 @@ func (p *WearPlan) ensureRowMax(s *engineScratch) {
 	}
 }
 
-// ensureHw sizes the scratch's +Hw replay state (histogram, per-op rows,
-// renamer, cycle decomposition). The histogram is left dirty —
-// replayJobHist zeroes it at the start of every job.
+// ensureHw sizes the scratch's +Hw replay state (per-op rows, renamer,
+// cycle decomposition).
 func (p *WearPlan) ensureHw(s *engineScratch) {
-	if len(s.hist) != len(p.maskLanes)*p.rows {
-		s.hist = make([]uint64, len(p.maskLanes)*p.rows)
-	}
 	if len(s.arch) != len(p.ops) {
 		s.arch = make([]int32, len(p.ops))
 	}

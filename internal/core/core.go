@@ -5,27 +5,26 @@
 // software strategies × hardware re-mapping on/off), from which array
 // lifetime is estimated (Eq. 4).
 //
-// Two engines are provided:
+// One engine accumulates every run: the epoch walk (walk.go) over a
+// shared per-benchmark WearPlan (plan.go). Writes of one iteration
+// factorize as a sum of rank-1 terms Σ_phases rowHist ⊗ laneMask (ops
+// sharing a lane mask form a phase); software permutations only relabel
+// indices, so the walk groups epochs by their (within, between)
+// permutation pair and accumulates each group once, weighted by its
+// summed iterations (sw_engine.go). Hardware renaming evolves per gate
+// and is replayed exactly in closed-cycle form, but epochs are
+// independent (the renamer resets at recompile boundaries), so the walk
+// replays one histogram per (within permutation, length) job and lands
+// it in every member epoch (hw_engine.go). Groups shard over a bounded
+// worker pool (SimConfig.Workers) with bit-identical results for every
+// worker count. WearPlan.Simulate walks all epochs at once, or one
+// sampler segment at a time; Stepper walks one epoch per Step.
 //
-//   - Simulate — the fast path, built on a shared per-benchmark WearPlan
-//     (plan.go). Writes of one iteration factorize as a sum of rank-1
-//     terms Σ_phases rowHist ⊗ laneMask (ops sharing a lane mask form a
-//     phase); software permutations only relabel indices, so epochs group
-//     by their (within, between) permutation pair and each unique group
-//     contributes one accumulation weighted by its summed iterations,
-//     sharded over a bounded worker pool; see sw_engine.go. Hardware
-//     renaming evolves per gate and is replayed exactly, O(1) per op —
-//     but epochs are independent (the renamer resets at recompile
-//     boundaries), so the +Hw engine memoizes per-epoch histograms by
-//     within-lane permutation and shards the unique replays over the same
-//     pool (SimConfig.Workers); see hw_engine.go. Results are
-//     bit-identical for every worker count.
-//   - BruteForce — the functional array simulator executing every single
-//     iteration cell by cell. It is mathematically identical and is used
-//     to cross-validate Simulate in the test suite.
-//
-// SimulateReference preserves the pre-memoization serial engine as a
-// third cross-validation point and benchmark baseline.
+// Three oracles cross-validate the engine in the test suite:
+// SimulateReference preserves the pre-memoization serial engine (also
+// the speedup benchmarks' baseline), and BruteForce and
+// BruteForceReference execute every iteration cell by cell on the
+// functional array simulator.
 package core
 
 import (
@@ -130,16 +129,15 @@ type SimConfig struct {
 	// ShiftStep overrides the Bs rotation per epoch (0 = one byte);
 	// negative steps are rejected by Validate.
 	ShiftStep int
-	// Workers bounds the goroutines the +Hw engine shards epochs over;
+	// Workers bounds the goroutines the engine shards epoch groups over;
 	// ≤ 0 selects runtime.GOMAXPROCS(0). The accumulated distribution is
 	// bit-identical for every worker count.
 	Workers int
 	// Sampler, when non-nil, observes the accumulating distribution after
-	// each sampled recompile epoch (wear telemetry). The engines then
-	// accumulate in epoch order — the +Hw path switches to the sampled
-	// engine, which prefetches replay jobs in parallel but lands them
-	// serially — so every sample is a true prefix of the final
-	// distribution. Results stay bit-identical to the unsampled engines.
+	// each sampled recompile epoch (wear telemetry). The engine then
+	// accumulates one inter-sample segment at a time, so every sample is
+	// a true prefix of the final distribution. Results stay bit-identical
+	// to an unsampled run.
 	Sampler *WearSampler
 }
 
@@ -238,17 +236,6 @@ func (d *WriteDist) Total() uint64 {
 		t += c
 	}
 	return t
-}
-
-// MaxPerIteration returns the hottest cell's writes per benchmark
-// iteration. A distribution with no recorded iterations (a fresh
-// NewWriteDist, or a zero-iteration file read back through traceio)
-// reports 0 rather than +Inf/NaN.
-func (d *WriteDist) MaxPerIteration() float64 {
-	if d.Iterations <= 0 {
-		return 0
-	}
-	return float64(d.Max()) / float64(d.Iterations)
 }
 
 // Equal reports whether two distributions are cell-for-cell identical

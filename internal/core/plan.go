@@ -12,17 +12,17 @@
 // The plan stores the write matrix M0 factorized the way the engines
 // consume it:
 //
-//   - The full-mask part as one weight per logical row (FullRowWrites).
-//     A full lane mask is invariant under every between-lane permutation
-//     — B(all lanes) = all lanes — so this part of an epoch's
-//     contribution never needs a per-lane scan at all: the software
-//     engine accumulates a per-physical-row weight and expands it to
-//     whole rows once, at the end.
+//   - The full-mask part as one weight per logical row (fullRowIdx,
+//     fullRowW). A full lane mask is invariant under every between-lane
+//     permutation — B(all lanes) = all lanes — so this part of an
+//     epoch's contribution never needs a per-lane scan at all: the
+//     software engine accumulates a per-physical-row weight and expands
+//     it to whole rows only when the walk materializes.
 //   - The partial-mask remainder CSR-packed: per hot row, the nonzero
 //     (lane, count) list instead of a dense Lanes-wide scan, so sparse
 //     masks cost what they touch.
 //
-// M0[r][l] equals FullRowWrites[r] + the CSR row entries for (r, l); the
+// M0[r][l] equals the full-mask weight of r + the CSR entries for (r, l); the
 // two parts sum to exactly the dense matrix the pre-plan engine built per
 // run (see planMatchesDense in plan_test.go).
 package core
@@ -146,44 +146,6 @@ func (p *WearPlan) PresetOutputs() bool { return p.preset }
 // computed once at plan-build time.
 func (p *WearPlan) Stats() program.Stats { return p.stats }
 
-// Cycle returns the analytic renamer cycle of one trace iteration, and
-// whether it is valid for this plan's row count (false when the trace
-// does not fit the renamer's architectural rows).
-func (p *WearPlan) Cycle() (mapping.RenamerCycle, bool) { return p.cycle, p.hwCycleValid }
-
-// FullRowWrites returns the between-invariant part of the one-iteration
-// write matrix: parallel slices of logical rows receiving full-mask
-// writes and the summed per-lane write count of each.
-func (p *WearPlan) FullRowWrites() (rows []int32, writes []uint32) {
-	return p.fullRowIdx, p.fullRowW
-}
-
-// PartialEntries returns the number of nonzero (row, lane) entries in the
-// CSR-packed partial-mask part of the write matrix.
-func (p *WearPlan) PartialEntries() int { return len(p.csrLane) }
-
-// M0 materializes the dense one-iteration write matrix [row*Lanes+lane]
-// from the factorized plan — the matrix the pre-plan software engine
-// rebuilt on every run. It is exported for cross-validation; the engines
-// never call it.
-func (p *WearPlan) M0() []uint32 {
-	lanes := p.trace.Lanes
-	m0 := make([]uint32, p.trace.LaneBits*lanes)
-	for i, r := range p.fullRowIdx {
-		base := int(r) * lanes
-		for l := 0; l < lanes; l++ {
-			m0[base+l] += p.fullRowW[i]
-		}
-	}
-	for i, r := range p.csrRows {
-		base := int(r) * lanes
-		for e := p.csrPtr[i]; e < p.csrPtr[i+1]; e++ {
-			m0[base+int(p.csrLane[e])] += p.csrCnt[e]
-		}
-	}
-	return m0
-}
-
 // check verifies a simulation config is compatible with the plan's
 // build parameters.
 func (p *WearPlan) check(tr *program.Trace, cfg SimConfig) error {
@@ -213,33 +175,40 @@ func (p *WearPlan) Simulate(cfg SimConfig, strat StrategyConfig) (*WriteDist, er
 	}
 	sp := obs.StartSpan("core.simulate")
 	defer sp.End()
-	tr := p.trace
 	dist := p.newDist()
 	dist.Iterations = cfg.Iterations
 	dist.StepsPerIteration = p.stats.Steps
-
-	arch := cfg.Rows
+	name := "sw-accumulate"
 	if strat.Hw {
-		arch--
+		name = "hw-replay"
 	}
-	sched := mapping.Schedule{
-		Rows: arch, Lanes: tr.Lanes,
-		Within: strat.Within, Between: strat.Between,
-		Seed: cfg.Seed, ShiftStep: cfg.ShiftStep,
+	stage := sp.Child(name)
+	defer stage.End()
+
+	plan := stage.Child("plan")
+	w := p.newWalk(cfg, strat, dist, false)
+	plan.End()
+	epochs, every := len(w.lens), cfg.recompileEvery()
+	// One advance over the whole run, or, with a sampler, one per
+	// inter-sample segment: the sampler sees the distribution only at
+	// segment boundaries, each a true prefix of the final distribution.
+	sampler := cfg.Sampler
+	if sampler != nil {
+		sampler.bind(cfg.Iterations)
 	}
-	if cfg.Sampler != nil {
-		cfg.Sampler.bind(cfg.Iterations)
+	for first := 0; first < epochs; {
+		last := first
+		for last < epochs-1 && (sampler == nil || !sampler.due(last, epochs-1)) {
+			last++
+		}
+		w.advance(first, last)
+		w.materialize()
+		if sampler != nil {
+			sampler.Sample(last, min((last+1)*every, cfg.Iterations), dist)
+		}
+		first = last + 1
 	}
-	switch {
-	case strat.Hw && cfg.Sampler != nil:
-		simulateHwSampled(p, cfg, sched, dist)
-	case strat.Hw:
-		simulateHw(p, cfg, sched, dist)
-	case cfg.Sampler != nil:
-		simulateSoftwareSampled(p, cfg, sched, dist)
-	default:
-		simulateSoftware(p, cfg, sched, dist)
-	}
+	w.finish()
 	if obs.Enabled() {
 		obsWrites.Add(int64(dist.Total()))
 	}

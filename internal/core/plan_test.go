@@ -83,7 +83,10 @@ func TestPlanMatchesDense(t *testing.T) {
 
 // One shared plan must serve every strategy and stay bit-identical to
 // the serial reference for worker counts {1, 3, GOMAXPROCS}, with and
-// without a sampler attached — the tentpole's correctness contract.
+// without a sampler attached. Sampling must not cost replays either: a
+// +Hw job is replayed once per run however many sample segments its
+// member epochs straddle, so at cadences 1 and 4 a sampled run records
+// the plain run's core.hw.replays and core.hw.memo_hits.
 func TestPlannedEngineWorkerAndSamplerIdentity(t *testing.T) {
 	cfg := workloads.Config{Lanes: 8, Rows: 96, Basis: synth.NAND}
 	mult, err := workloads.ParallelMult(cfg, 4)
@@ -122,8 +125,39 @@ func TestPlannedEngineWorkerAndSamplerIdentity(t *testing.T) {
 			if !ds.Equal(ref) {
 				t.Errorf("%s workers=%d: sampled planned engine diverges from reference", strat.Name(), w)
 			}
+			if !strat.Hw {
+				continue
+			}
+			sim.Sampler = nil
+			replays, hits := hwCounters(t, plan, sim, strat)
+			for _, every := range []int{1, 4} {
+				sim.Sampler = core.NewWearSampler("test.plan.wear", every, 1e6)
+				if r, h := hwCounters(t, plan, sim, strat); r != replays || h != hits {
+					t.Errorf("%s workers=%d every=%d: sampled run replays/memo_hits %d/%d, plain run %d/%d",
+						strat.Name(), w, every, r, h, replays, hits)
+				}
+			}
 		}
 	}
+}
+
+// hwCounters runs one planned simulation under an enabled obs registry
+// and returns the (replays, memo_hits) counters it recorded.
+func hwCounters(t *testing.T, plan *core.WearPlan, sim core.SimConfig, strat core.StrategyConfig) (replays, hits int64) {
+	t.Helper()
+	obs.Reset()
+	obs.Enable()
+	defer func() {
+		obs.Disable()
+		obs.Reset()
+	}()
+	d, err := plan.Simulate(sim, strat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Release()
+	s := obs.Capture()
+	return s.Counters["core.hw.replays"], s.Counters["core.hw.memo_hits"]
 }
 
 // A plan is bound to its build inputs: simulating a mismatched row

@@ -1,36 +1,25 @@
-// The incremental, epoch-granular wear engine.
+// The incremental, epoch-granular view of the wear engine.
 //
 // Simulate needs the whole iteration count up front; a scheduler that
 // routes work by *live* wear (internal/system's wear-aware bank policy)
 // needs the opposite — accumulate one recompile epoch at a time and ask
 // "how hot is the hottest cell right now?" between epochs. Stepper is
-// that engine: a serial walk over a shared WearPlan that reuses the same
-// accumulation primitives as the batch engines, so a stepped run is
-// bit-identical to Simulate (and SimulateReference) over the same epoch
-// sequence.
+// that view: an open epoch walk (walk.go) over a shared WearPlan, in
+// which each Step plans and advances exactly one epoch. A stepped run is
+// therefore bit-identical to Simulate (and SimulateReference) over the
+// same epoch sequence.
 //
-//   - Software path: each Step is one permutation-pair accumulation
-//     (accumulateSwJob) with the rank-1 full-mask part kept as pending
-//     per-row weights until Finish — exactly the sampled software
-//     engine's discipline.
-//   - +Hw path: each Step replays one epoch in closed-cycle form
-//     (replayJobHist) and lands the histogram through the epoch's
-//     between-lane permutation. Consecutive epochs sharing a within-lane
-//     permutation (St always, Bs at its rotation period) reuse the last
-//     replayed histogram — a one-entry memo of the batch engine's
-//     grouping.
-//
-// MaxWrites is O(1): the stepper maintains a per-physical-row running
-// maximum as it accumulates. Cell counts only grow and the pending
-// full-mask weight adds uniformly across a row, so the row maximum is
-// (max CSR/hist cell in the row) + (pending row weight) — both tracked
-// incrementally, no distribution scan per query.
+// The walk never materializes before Finish: the full-mask part of
+// software epochs stays pending as per-row weights. MaxWrites is still
+// O(1), because an open walk keeps a per-physical-row maximum of the
+// materialized cells as it accumulates. Cell counts only grow and the
+// pending weight adds uniformly across a row, so the hottest cell is
+// max over rows of (row maximum + pending row weight).
 package core
 
 import (
 	"fmt"
 
-	"pimendure/internal/mapping"
 	"pimendure/internal/obs"
 )
 
@@ -42,30 +31,8 @@ import (
 // use; run independent Steppers (one per bank) concurrently instead —
 // the plan itself is immutable and shared.
 type Stepper struct {
-	plan  *WearPlan
-	strat StrategyConfig
-	sched mapping.Schedule
-	dist  *WriteDist
-
-	epoch int // next epoch index
+	walk  *walk
 	iters int // iterations accumulated so far
-
-	// scr is the stepper's arena-drawn working state, held from NewStepper
-	// until Finish returns it to the plan: the pending software row
-	// weights (scr.rowW, expanded into whole rows by Finish), the +Hw
-	// replay scratch and memoized histogram (scr.hist), and the live
-	// per-physical-row maxima (scr.rowMax — hottest materialized cell per
-	// row: CSR adds and +Hw histogram landings; excludes the pending rowW,
-	// which Step folds in when it updates curMax).
-	scr *engineScratch
-
-	// One-entry +Hw histogram memo key: scr.hist holds the histogram of
-	// epoch histEpoch run for histN iterations (-1 = no entry).
-	histEpoch int
-	histN     int
-
-	selfEpoch [1]int // reusable single-epoch member list for replay jobs
-	curMax    uint64
 }
 
 // NewStepper prepares an incremental simulation of one load-balancing
@@ -82,37 +49,11 @@ func (p *WearPlan) NewStepper(cfg SimConfig, strat StrategyConfig) (*Stepper, er
 	if err := p.check(p.trace, probe); err != nil {
 		return nil, err
 	}
-	tr := p.trace
-	arch := cfg.Rows
-	if strat.Hw {
-		arch--
-	}
-	s := &Stepper{
-		plan:  p,
-		strat: strat,
-		sched: mapping.Schedule{
-			Rows: arch, Lanes: tr.Lanes,
-			Within: strat.Within, Between: strat.Between,
-			Seed: cfg.Seed, ShiftStep: cfg.ShiftStep,
-		},
-		dist:      p.newDist(),
-		histEpoch: -1,
-	}
-	s.dist.StepsPerIteration = p.stats.Steps
-	s.scr = p.getScratch()
-	s.scr.gen.reset(s.sched)
-	p.ensureRowMax(s.scr)
-	if strat.Hw {
-		p.ensureHw(s.scr)
-		obsHwCycleLen.Add(int64(p.cycle.Period))
-	} else {
-		p.ensureRowW(s.scr)
-	}
-	return s, nil
+	probe.Workers = 1
+	dist := p.newDist()
+	dist.StepsPerIteration = p.stats.Steps
+	return &Stepper{walk: p.newWalk(probe, strat, dist, true)}, nil
 }
-
-// Epoch returns the next epoch index — the number of Step calls so far.
-func (s *Stepper) Epoch() int { return s.epoch }
 
 // Iterations returns the iterations accumulated so far.
 func (s *Stepper) Iterations() int { return s.iters }
@@ -120,7 +61,7 @@ func (s *Stepper) Iterations() int { return s.iters }
 // MaxWrites returns the hottest cell's accumulated write count — Eq. 4's
 // max(WriteCount) over the iterations stepped so far. O(1): the maximum
 // is maintained during accumulation.
-func (s *Stepper) MaxWrites() uint64 { return s.curMax }
+func (s *Stepper) MaxWrites() uint64 { return s.walk.curMax }
 
 // Step accumulates the next recompile epoch with the given iteration
 // count (an equivalent batch run's epoch lengths: RecompileEvery per
@@ -130,118 +71,28 @@ func (s *Stepper) Step(iters int) {
 	if iters <= 0 {
 		return
 	}
-	if s.strat.Hw {
-		s.stepHw(iters)
-	} else {
-		s.stepSoftware(iters)
-	}
-	obsEpochs.Add(1)
-	s.epoch++
+	e := s.walk.plan(iters)
+	s.walk.advance(e, e)
 	s.iters += iters
 }
 
-// stepSoftware lands one epoch through the shared software accumulation
-// primitive, then refreshes the per-row maxima the epoch touched.
-func (s *Stepper) stepSoftware(iters int) {
-	p := s.plan
-	job := swJob{epoch0: s.epoch, iters: uint64(iters), epochs: 1, next: -1}
-	rowW := s.scr.rowW
-	accumulateSwJob(p, &s.scr.gen, job, rowW, nil, s.dist.Counts)
-	obsSwGroups.Add(1)
-
-	lanes := p.trace.Lanes
-	within := s.scr.gen.withinAt(s.epoch)
-	// CSR rows gained materialized cell writes: rescan each touched row.
-	for _, r := range p.csrRows {
-		pr := within.Apply(int(r))
-		row := s.dist.Counts[pr*lanes : pr*lanes+lanes]
-		var m uint64
-		for _, c := range row {
-			if c > m {
-				m = c
-			}
-		}
-		s.scr.rowMax[pr] = m
-		if cand := m + rowW[pr]; cand > s.curMax {
-			s.curMax = cand
-		}
-	}
-	// Full-mask rows only grew their pending uniform weight.
-	for _, r := range p.fullRowIdx {
-		pr := within.Apply(int(r))
-		if cand := s.scr.rowMax[pr] + rowW[pr]; cand > s.curMax {
-			s.curMax = cand
-		}
-	}
-}
-
-// stepHw replays (or reuses) the epoch's closed-cycle histogram and
-// lands it through the epoch's between-lane permutation, tracking row
-// maxima cell by cell.
-func (s *Stepper) stepHw(iters int) {
-	p := s.plan
-	within := s.scr.gen.withinAt(s.epoch)
-	if s.histEpoch >= 0 && s.histN == iters && s.scr.gen.within2At(s.histEpoch).Equal(within) {
-		// One-entry memo hit: same within permutation and length means the
-		// identical histogram (the renamer resets every epoch).
-		obsHwMemoHits.Add(1)
-		obsHwReplayItersSaved.Add(int64(iters))
-	} else {
-		s.selfEpoch[0] = s.epoch
-		job := hwJob{epoch0: s.epoch, fp: within.Fingerprint(), n: iters, epochs: s.selfEpoch[:], next: -1}
-		replayJobHist(p.ops, &s.scr.gen, job, p.cycle.Period, s.dist.Rows, s.scr.arch, s.scr.hw, s.scr.cyc, s.scr.hist)
-		obsHwReplays.Add(1)
-		s.histEpoch, s.histN = s.epoch, iters
-	}
-
-	rows, lanes := s.dist.Rows, s.dist.Lanes
-	between := s.scr.gen.betweenAt(s.epoch)
-	counts := s.dist.Counts
-	for m := range p.maskLanes {
-		lanesOf := p.maskLanes[m]
-		rowMax := s.scr.rowMax
-		for r := 0; r < rows; r++ {
-			c := s.scr.hist[m*rows+r]
-			if c == 0 {
-				continue
-			}
-			dst := counts[r*lanes:]
-			rm := rowMax[r]
-			for _, l := range lanesOf {
-				bl := between.Apply(l)
-				v := dst[bl] + c
-				dst[bl] = v
-				if v > rm {
-					rm = v
-				}
-			}
-			rowMax[r] = rm
-			if rm > s.curMax {
-				s.curMax = rm
-			}
-		}
-	}
-}
-
 // Finish completes the accumulation (expanding the pending full-mask row
-// weights, on the software path), returns the stepper's working scratch
-// to the plan's arena, and returns the distribution — cell-for-cell
-// identical to Simulate over the same epoch sequence. The stepper must
-// not be stepped again after Finish.
+// weights), returns the stepper's working scratch to the plan's arena,
+// and returns the distribution — cell-for-cell identical to Simulate
+// over the same epoch sequence. The stepper must not be stepped again
+// after Finish.
 func (s *Stepper) Finish() (*WriteDist, error) {
 	if s.iters <= 0 {
 		return nil, fmt.Errorf("core: stepper finished with no iterations stepped")
 	}
-	if s.scr != nil {
-		if !s.strat.Hw {
-			expandRowWeights(s.scr.rowW, s.dist.Lanes, s.dist.Counts)
-		}
-		s.plan.putScratch(s.scr)
-		s.scr = nil
+	w := s.walk
+	if w.scr != nil { // not finished yet
+		w.materialize()
+		w.finish()
 	}
-	s.dist.Iterations = s.iters
+	w.dist.Iterations = s.iters
 	if obs.Enabled() {
-		obsWrites.Add(int64(s.dist.Total()))
+		obsWrites.Add(int64(w.dist.Total()))
 	}
-	return s.dist, nil
+	return w.dist, nil
 }

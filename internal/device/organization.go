@@ -12,7 +12,7 @@ import "fmt"
 // Channels × BankGroups (per channel) × Banks (per group), every bank an
 // independent PIM array with its own wear state. The flat bank id space
 // is group-major: banks of one group are contiguous, groups of one
-// channel are contiguous (see BankID/Position).
+// channel are contiguous (see Position).
 type Organization struct {
 	// Name identifies the organization ("DDR4", "HBM3", …).
 	Name string
@@ -41,13 +41,7 @@ func (o Organization) TotalBanks() int { return o.Channels * o.BankGroups * o.Ba
 // TotalGroups is the flat bank-group count, Channels × BankGroups.
 func (o Organization) TotalGroups() int { return o.Channels * o.BankGroups }
 
-// BankID flattens a (channel, group, bank) position into the group-major
-// flat id space [0, TotalBanks).
-func (o Organization) BankID(channel, group, bank int) int {
-	return (channel*o.BankGroups+group)*o.Banks + bank
-}
-
-// Position is the inverse of BankID.
+// Position maps a flat bank id to its (channel, group, bank) coordinates.
 func (o Organization) Position(id int) (channel, group, bank int) {
 	bank = id % o.Banks
 	g := id / o.Banks

@@ -113,30 +113,11 @@ func (p *Perm) SetRandom(rng *rand.Rand) {
 	})
 }
 
-// ShiftPerm returns the rotation i → (i + k) mod n.
-func ShiftPerm(n, k int) *Perm {
-	p := &Perm{l2p: make([]int32, n)}
-	k = ((k % n) + n) % n
-	for i := range p.l2p {
-		p.l2p[i] = int32((i + k) % n)
-	}
-	return p
-}
-
 // Len returns the domain size.
 func (p *Perm) Len() int { return len(p.l2p) }
 
 // Apply maps a logical address to its physical address.
 func (p *Perm) Apply(i int) int { return int(p.l2p[i]) }
-
-// Inverse returns the physical-to-logical inverse permutation.
-func (p *Perm) Inverse() *Perm {
-	inv := &Perm{l2p: make([]int32, len(p.l2p))}
-	for l, ph := range p.l2p {
-		inv.l2p[ph] = int32(l)
-	}
-	return inv
-}
 
 // Equal reports whether two permutations are the same bijection.
 func (p *Perm) Equal(o *Perm) bool {
@@ -169,18 +150,6 @@ func (p *Perm) Fingerprint() uint64 {
 		h *= prime64
 	}
 	return h
-}
-
-// IsBijection verifies the permutation hits every address exactly once.
-func (p *Perm) IsBijection() bool {
-	seen := make([]bool, len(p.l2p))
-	for _, ph := range p.l2p {
-		if ph < 0 || int(ph) >= len(p.l2p) || seen[ph] {
-			return false
-		}
-		seen[ph] = true
-	}
-	return true
 }
 
 // DefaultShiftStep is one byte: the Bs strategy shifts mappings by whole

@@ -100,15 +100,6 @@ func (r *Run) Start() error {
 	return nil
 }
 
-// PprofBound returns the pprof server's bound address ("" when -pprof
-// was not given) — with "-pprof localhost:0" this is where it landed.
-func (r *Run) PprofBound() string {
-	if r.pprofLn == nil {
-		return ""
-	}
-	return r.pprofLn.Addr().String()
-}
-
 // ServeBound returns the telemetry server's bound address ("" when
 // -serve was not given).
 func (r *Run) ServeBound() string {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -56,22 +55,15 @@ type EventStats struct {
 }
 
 // events is the process-wide span-event ring. Pushes take the mutex for
-// a four-field copy — "lock-light": recording happens at span (epoch /
-// job) granularity, never in the per-op replay loops, so contention is
+// a short copy — "lock-light": recording happens at span (epoch / job)
+// granularity, never in the per-op replay loops, so contention is
 // negligible next to the work a span brackets. The bounded ring
 // overwrites its oldest entry when full and never blocks a worker.
-var events struct {
-	mu    sync.Mutex
-	on    bool
-	buf   []Event
-	head  uint64 // total events ever pushed
-	epoch time.Time
-}
+var events ring[Event]
 
-// eventsOn mirrors events.on (kept in sync under events.mu) so the
-// per-span fast path — "are events even being recorded?" — is one atomic
-// load instead of a mutex round-trip on the global ring.
-var eventsOn atomic.Bool
+// eventsEpoch is the time of the last EnableEvents, the origin of
+// Event.TS.
+var eventsEpoch atomic.Pointer[time.Time]
 
 // EnableEvents turns span-event recording on with a fresh ring of the
 // given capacity (≤ 0 selects DefaultEventCapacity). Timestamps are
@@ -81,68 +73,36 @@ func EnableEvents(capacity int) {
 	if capacity <= 0 {
 		capacity = DefaultEventCapacity
 	}
-	events.mu.Lock()
-	defer events.mu.Unlock()
-	events.on = true
-	events.buf = make([]Event, capacity)
-	events.head = 0
-	events.epoch = time.Now()
-	eventsOn.Store(true)
+	now := time.Now()
+	eventsEpoch.Store(&now)
+	events.enable(capacity)
 }
 
 // DisableEvents stops recording; the ring contents stay readable through
 // TraceEvents/WriteTrace until the next EnableEvents.
-func DisableEvents() {
-	events.mu.Lock()
-	defer events.mu.Unlock()
-	events.on = false
-	eventsOn.Store(false)
-}
-
-// EventsEnabled reports whether span events are being recorded.
-func EventsEnabled() bool {
-	return eventsOn.Load()
-}
+func DisableEvents() { events.disable() }
 
 // CaptureEventStats returns the ring's recorded/dropped totals.
 func CaptureEventStats() EventStats {
-	events.mu.Lock()
-	defer events.mu.Unlock()
-	return eventStatsLocked()
+	recorded, dropped, capacity := events.stats()
+	return EventStats{Recorded: recorded, Dropped: dropped, Capacity: capacity}
 }
 
-func eventStatsLocked() EventStats {
-	s := EventStats{Recorded: events.head, Capacity: len(events.buf)}
-	if n := uint64(len(events.buf)); events.head > n {
-		s.Dropped = events.head - n
-	}
-	return s
-}
-
-// recordEvent pushes one begin/end mark onto the ring (drop-oldest).
-// Callers check EventsEnabled-style gating themselves via the tid they
-// carry; a zero tid means "events were off when the span started".
+// recordEvent pushes one begin/end mark onto the ring (drop-oldest). A
+// zero tid means events were off when the span started; callers gate on
+// it themselves.
 func recordEvent(ph byte, name string, tid int64) {
-	if !eventsOn.Load() {
+	if !events.on.Load() {
 		return
 	}
-	now := time.Now()
-	trace := traceFor(tid) // before taking events.mu: keeps the ring's critical section copy-only
-	events.mu.Lock()
-	if !events.on || len(events.buf) == 0 {
-		events.mu.Unlock()
-		return
-	}
-	ts := now.Sub(events.epoch).Nanoseconds()
-	events.buf[events.head%uint64(len(events.buf))] = Event{Name: name, Ph: ph, TS: ts, TID: tid, Trace: trace}
-	events.head++
-	events.mu.Unlock()
+	ts := time.Since(*eventsEpoch.Load()).Nanoseconds()
+	events.push(Event{Name: name, Ph: ph, TS: ts, TID: tid, Trace: traceFor(tid)})
 }
 
 // eventTID returns the goroutine id to stamp on events, or 0 when the
 // ring is off (the zero tid suppresses the matching End emission).
 func eventTID() int64 {
-	if !eventsOn.Load() {
+	if !events.on.Load() {
 		return 0
 	}
 	return goid()
@@ -165,25 +125,7 @@ func goid() int64 {
 }
 
 // TraceEvents snapshots the ring in chronological order (oldest first).
-func TraceEvents() []Event {
-	events.mu.Lock()
-	defer events.mu.Unlock()
-	n := uint64(len(events.buf))
-	if n == 0 {
-		return nil
-	}
-	count := events.head
-	start := uint64(0)
-	if count > n {
-		start = count - n
-		count = n
-	}
-	out := make([]Event, 0, count)
-	for i := uint64(0); i < count; i++ {
-		out = append(out, events.buf[(start+i)%n])
-	}
-	return out
-}
+func TraceEvents() []Event { return events.last(0) }
 
 // TraceEventsFor snapshots the ring filtered to one trace id, oldest
 // first — the full span history of a single serving-layer job.

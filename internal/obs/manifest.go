@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -97,19 +96,6 @@ func (m *Manifest) WriteFile(dir string) error {
 		return err
 	}
 	return os.WriteFile(m.Path(dir), append(data, '\n'), 0o644)
-}
-
-// ReadManifest reads back a manifest written by WriteFile.
-func ReadManifest(path string) (*Manifest, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("obs: %s: %w", path, err)
-	}
-	return &m, nil
 }
 
 // gitDescribe identifies the working tree, tolerating environments

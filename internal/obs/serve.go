@@ -26,16 +26,6 @@ var wearPNG struct {
 	sources map[string]func(io.Writer) error
 }
 
-// SetWearPNG installs the unnamed default renderer behind the /wear.png
-// endpoint — the source served when no ?name= selector is given. Pass
-// nil to uninstall. Concurrent runs that each own a series should use
-// RegisterWearPNG instead.
-func SetWearPNG(fn func(io.Writer) error) {
-	wearPNG.mu.Lock()
-	wearPNG.def = fn
-	wearPNG.mu.Unlock()
-}
-
 // RegisterWearPNG installs a named renderer served at /wear.png?name=N.
 // Each concurrently sampled run registers under its own series name, so
 // no run overwrites another's live view. Passing a nil fn removes the
@@ -54,7 +44,7 @@ func RegisterWearPNG(name string, fn func(io.Writer) error) {
 }
 
 // WearPNGSources returns the sorted names of the registered wear-PNG
-// renderers (the unnamed SetWearPNG default excluded).
+// renderers (the unnamed default excluded).
 func WearPNGSources() []string {
 	wearPNG.mu.Lock()
 	defer wearPNG.mu.Unlock()
@@ -78,7 +68,7 @@ func WriteWearPNG(w io.Writer, name string) error {
 }
 
 // lookupWearPNG resolves the renderer for a /wear.png request. An empty
-// name selects deterministically: the SetWearPNG default if installed,
+// name selects deterministically: the unnamed default if installed,
 // else the lexicographically smallest registered name (so a sweep's
 // live view doesn't depend on registration order).
 func lookupWearPNG(name string) func(io.Writer) error {
@@ -150,15 +140,6 @@ func lookupHandler(path string) http.Handler {
 // timeout-fallback path is testable).
 var telemetryShutdownTimeout = 2 * time.Second
 
-// SetTelemetryShutdownTimeout overrides the graceful-close deadline and
-// returns a func restoring the previous value — a test hook for the
-// Close-after-timeout fallback path.
-func SetTelemetryShutdownTimeout(d time.Duration) func() {
-	old := telemetryShutdownTimeout
-	telemetryShutdownTimeout = d
-	return func() { telemetryShutdownTimeout = old }
-}
-
 // telemetryServer is the HTTP server behind -serve: live Prometheus
 // exposition, health, series snapshots and the wear heatmap.
 type telemetryServer struct {
@@ -203,7 +184,7 @@ func jsonError(w http.ResponseWriter, msg string, code int) {
 //	            and /series; no external assets)
 //	/wear.png   latest wear-distribution heatmap; ?name= selects among
 //	            RegisterWearPNG sources (404 until a sampled run
-//	            registers one via SetWearPNG/RegisterWearPNG)
+//	            registers one via RegisterWearPNG)
 func startTelemetryServer(addr string) (*telemetryServer, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {

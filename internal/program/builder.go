@@ -98,9 +98,6 @@ func (b *Builder) SetFullMask() {
 	b.curMask = b.trace.AddMask(FullMask(b.trace.Lanes))
 }
 
-// CurrentMask returns the mask applied to subsequently emitted ops.
-func (b *Builder) CurrentMask() *Mask { return b.trace.Mask(b.curMask) }
-
 // Alloc reserves a free logical bit address according to the policy.
 func (b *Builder) Alloc() Bit {
 	if b.live >= b.capacity {
@@ -159,10 +156,6 @@ func (b *Builder) Free(bits ...Bit) {
 
 // Live returns the number of currently allocated bits.
 func (b *Builder) Live() int { return b.live }
-
-// MaxLive returns the high-water mark of simultaneously allocated bits
-// (the minimum workspace a lane must provide).
-func (b *Builder) MaxLive() int { return b.maxLive }
 
 // Gate emits a gate reading in0 (and in1 for binary gates) into a freshly
 // allocated output bit, which it returns.

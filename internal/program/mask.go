@@ -72,16 +72,6 @@ func (m *Mask) Set(i int) {
 	}
 }
 
-// Clear removes lane i.
-func (m *Mask) Clear(i int) {
-	m.check(i)
-	w, b := i/64, uint(i%64)
-	if m.words[w]&(1<<b) != 0 {
-		m.words[w] &^= 1 << b
-		m.count--
-	}
-}
-
 // Get reports whether lane i is set.
 func (m *Mask) Get(i int) bool {
 	m.check(i)

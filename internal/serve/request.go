@@ -64,9 +64,10 @@ type Request struct {
 	Technologies []string  `json:"technologies,omitempty"`
 }
 
-// normalized returns the request with every defaulted field filled in —
-// the canonical form behind coalescing fingerprints, so a request
-// relying on defaults and one spelling them out coalesce together.
+// normalized returns the request with every omitted (zero) field filled
+// in with its default — the canonical form behind coalescing
+// fingerprints, so a request relying on defaults and one spelling them
+// out coalesce together. Negative sizes are left for validate to reject.
 func (r Request) normalized() Request {
 	switch strings.ToLower(r.Benchmark) {
 	case "mult", "multiplication":
@@ -80,32 +81,32 @@ func (r Request) normalized() Request {
 	case "bnn":
 		r.Benchmark = "bnn"
 	}
-	if r.Lanes <= 0 {
+	if r.Lanes == 0 {
 		r.Lanes = 1024
 	}
-	if r.Rows <= 0 {
+	if r.Rows == 0 {
 		r.Rows = 1024
 	}
-	if r.Bits <= 0 {
+	if r.Bits == 0 {
 		if r.Benchmark == "conv" {
 			r.Bits = 8
 		} else {
 			r.Bits = 32
 		}
 	}
-	if r.N <= 0 {
+	if r.N == 0 {
 		r.N = r.Lanes
 	}
-	if r.GroupLanes <= 0 {
+	if r.GroupLanes == 0 {
 		r.GroupLanes = 4
 	}
-	if r.MultsPerLane <= 0 {
+	if r.MultsPerLane == 0 {
 		r.MultsPerLane = 3
 	}
-	if r.Synapses <= 0 {
+	if r.Synapses == 0 {
 		r.Synapses = 64
 	}
-	if r.Iterations <= 0 {
+	if r.Iterations == 0 {
 		r.Iterations = 10000
 	}
 	if r.RecompileEvery == 0 {
@@ -114,7 +115,7 @@ func (r Request) normalized() Request {
 	if r.Technology == "" {
 		r.Technology = "MRAM"
 	}
-	if r.Devices <= 0 {
+	if r.Devices == 0 {
 		r.Devices = 100_000
 	}
 	if len(r.Sigmas) == 0 {
@@ -136,6 +137,18 @@ func (r Request) validate(cfg Config) error {
 		return fmt.Errorf("missing benchmark (mult, dot, conv, add, bnn)")
 	default:
 		return fmt.Errorf("unknown benchmark %q (mult, dot, conv, add, bnn)", r.Benchmark)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"lanes", r.Lanes}, {"rows", r.Rows}, {"bits", r.Bits}, {"n", r.N},
+		{"group_lanes", r.GroupLanes}, {"mults_per_lane", r.MultsPerLane},
+		{"synapses", r.Synapses}, {"iterations", r.Iterations}, {"devices", r.Devices},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("%s must be positive, got %d", f.name, f.v)
+		}
 	}
 	if r.Lanes > cfg.MaxLanes || r.Rows > cfg.MaxRows {
 		return fmt.Errorf("array %d×%d exceeds the server cap %d×%d", r.Lanes, r.Rows, cfg.MaxLanes, cfg.MaxRows)

@@ -213,7 +213,8 @@ func TestCoalescing(t *testing.T) {
 	if d := submitJob(t, ts.Client(), ts.URL, smallSweep()); d == a {
 		t.Error("request coalesced onto a finished job")
 	}
-	close(started) // drain remaining hook sends harmlessly
+	// started stays open: job d's hook may still be sending, and the
+	// buffer holds every job this test starts.
 }
 
 // A full queue sheds with a clean 429 + Retry-After, not a dropped
@@ -280,6 +281,17 @@ func TestRequestValidation(t *testing.T) {
 		"bad strategy":      {"benchmark": "mult", "strategies": []string{"XxYy"}},
 		"bad technology":    {"benchmark": "mult", "technology": "SRAM"},
 		"unknown field":     {"benchmark": "mult", "bogus": 1},
+		// Only an omitted (zero) size takes its default; a negative one
+		// is a client error, not a request for the default.
+		"negative lanes":          {"benchmark": "mult", "lanes": -5},
+		"negative rows":           {"benchmark": "mult", "rows": -1},
+		"negative bits":           {"benchmark": "mult", "bits": -8},
+		"negative n":              {"benchmark": "dot", "n": -2},
+		"negative group_lanes":    {"benchmark": "conv", "group_lanes": -4},
+		"negative mults_per_lane": {"benchmark": "conv", "mults_per_lane": -3},
+		"negative synapses":       {"benchmark": "bnn", "synapses": -64},
+		"negative iterations":     {"benchmark": "mult", "iterations": -3},
+		"negative devices":        {"benchmark": "mult", "devices": -1},
 	} {
 		if code, out := postJSON(t, ts.Client(), ts.URL+"/sweep", body); code != http.StatusBadRequest || out["error"] == "" {
 			t.Errorf("%s: status %d body %v, want 400 with error", name, code, out)

@@ -27,9 +27,6 @@ func LognormalMedian(median, sigma float64) Lognormal {
 	return Lognormal{Mu: math.Log(median), Sigma: sigma}
 }
 
-// Median returns exp(Mu).
-func (l Lognormal) Median() float64 { return math.Exp(l.Mu) }
-
 // Draw returns one lognormal sample from the given source. Every caller
 // threads an explicit seeded source so draws are reproducible and the
 // seed lands in run manifests.
@@ -83,34 +80,6 @@ func (l Lognormal) Quantile(p float64) float64 {
 		return math.Exp(l.Mu)
 	}
 	return math.Exp(l.Mu + l.Sigma*NormQuantile(p))
-}
-
-// QuantileMin returns the p-quantile of the MINIMUM of n independent
-// copies of X: with F_min(x) = 1 − (1 − F(x))ⁿ, the inverse is
-// F⁻¹(1 − (1 − p)^{1/n}). This is the order-statistic collapse behind
-// the fleet engine — sampling the weakest of n identically-worn cells
-// in O(1) instead of n draws. Computed through expm1/log1p so p values
-// down to the subnormal range map to accurate deep-tail quantiles.
-// n need not be integral (it is a float for callers that merge groups).
-func (l Lognormal) QuantileMin(p, n float64) float64 {
-	if l.Sigma == 0 {
-		return math.Exp(l.Mu)
-	}
-	// pc = 1 − (1−p)^{1/n}, kept accurate for tiny p and huge n where
-	// the naive form rounds to 0.
-	pc := -math.Expm1(math.Log1p(-p) / n)
-	return math.Exp(l.Mu + l.Sigma*NormQuantile(pc))
-}
-
-// MinCDF returns P(min of n iid copies ≤ x) = 1 − (1 − F(x))ⁿ, through
-// the survival function so the deep tail stays exact.
-func (l Lognormal) MinCDF(x, n float64) float64 {
-	sf := l.SF(x)
-	if sf == 0 {
-		return 1
-	}
-	// 1 − sfⁿ = −expm1(n·ln(sf))
-	return -math.Expm1(n * math.Log(sf))
 }
 
 // MinHazard returns −ln P(min of n iid copies > x) = −n·ln SF(x) — the

@@ -383,15 +383,3 @@ func (g *Grid) Downsample(outRows, outCols int) (*Grid, error) {
 	}
 	return out, nil
 }
-
-// Transpose returns the grid with axes swapped (for row-parallel
-// presentation).
-func (g *Grid) Transpose() *Grid {
-	out := NewGrid(g.Cols, g.Rows)
-	for r := 0; r < g.Rows; r++ {
-		for c := 0; c < g.Cols; c++ {
-			out.Set(c, r, g.At(r, c))
-		}
-	}
-	return out
-}

@@ -166,35 +166,12 @@ func MultiplierGates(basis Basis, b int) int {
 	return fullAdderGates(basis)*(b*b-2*b) + halfAdderGates(basis)*b + b*b
 }
 
-// MultiplierWorkspace returns the peak number of simultaneously live
-// logical bits a b-bit multiply needs beyond its operands and product
-// (measured by synthesis).
-func MultiplierWorkspace(basis Basis, b int) int {
-	bld := program.NewBuilder(1, 1<<20)
-	x := bld.AllocN(b)
-	y := bld.AllocN(b)
-	Dadda(bld, basis, x, y)
-	return bld.MaxLive() - 2*b
-}
-
 // CircuitCounts reports how many full adders, half adders and AND partial
 // products a synthesized circuit used.
 type CircuitCounts struct {
 	FullAdders int
 	HalfAdders int
 	Ands       int
-}
-
-// MultiplierCounts builds a b-bit Dadda multiplier on a scratch lane and
-// returns its adder-cell composition. Used to verify the b²−2b / b / b²
-// identity from the paper.
-func MultiplierCounts(basis Basis, b int) CircuitCounts {
-	cb := &countingBasis{inner: basis}
-	bld := program.NewBuilder(1, 1<<20)
-	x := bld.AllocN(b)
-	y := bld.AllocN(b)
-	Dadda(bld, cb, x, y)
-	return cb.counts
 }
 
 // countingBasis wraps a basis and tallies the adder cells requested.

@@ -208,8 +208,8 @@ type RunConfig struct {
 	// SampleEvery, when > 0, records wear telemetry every SampleEvery
 	// recompile epochs (plus always the final epoch) into
 	// Result.Wear — live per-epoch max/mean/p99/CoV and lifetime
-	// projections. Sampling switches the +Hw path to the epoch-ordered
-	// sampled engine; the final distribution stays bit-identical.
+	// projections. The engine then accumulates one inter-sample segment
+	// at a time; the final distribution stays bit-identical.
 	SampleEvery int
 	// SeriesPrefix scopes the wear-telemetry names a sampled run
 	// registers ("<prefix>wear.<benchmark>.<strategy>"): a serving layer
@@ -446,9 +446,6 @@ func SaveDist(w io.Writer, d *WriteDist) error { return traceio.WriteDist(w, d) 
 
 // LoadDist reads back a distribution written by SaveDist.
 func LoadDist(r io.Reader) (*WriteDist, error) { return traceio.ReadDist(r) }
-
-// SaveTrace serializes a benchmark's compiled trace (versioned JSON).
-func SaveTrace(w io.Writer, b *Benchmark) error { return traceio.WriteTrace(w, b.Trace) }
 
 // EnergyPerIteration prices one benchmark iteration on a device energy
 // model (reads + writes, preset-inclusive when the options say so).
