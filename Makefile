@@ -9,7 +9,7 @@ GO ?= go
 # API + instrumented engine layers). Enforced by `make doclint`.
 DOC_PKGS = ./pim ./pim/kernel ./internal/obs ./internal/core ./internal/pool ./internal/serve ./internal/system ./internal/device ./internal/fleet
 
-.PHONY: all build gofmt vet test race race-obs race-core race-serve race-system race-fleet bench bench-alloc bench-json bench-current benchdiff report ci doclint promlint
+.PHONY: all build gofmt vet test fuzz race race-obs race-core race-serve race-system race-fleet bench bench-alloc bench-json bench-current benchdiff report ci doclint promlint
 
 all: build
 
@@ -63,6 +63,16 @@ race-system:
 # explicitly so a draw-path data race is named.
 race-fleet:
 	$(GO) test -race ./internal/fleet/... ./pim/...
+
+# Fuzz smoke: run each fuzz target on the untrusted-input decoders — the
+# assembly parser, the distribution file reader and the job server's
+# admission path — for FUZZTIME each. A crasher lands in the package's
+# testdata/fuzz/ and then replays as a regression case in `make test`.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/asm
+	$(GO) test -run '^$$' -fuzz '^FuzzReadDist$$' -fuzztime $(FUZZTIME) ./internal/traceio
+	$(GO) test -run '^$$' -fuzz '^FuzzRequest$$' -fuzztime $(FUZZTIME) ./internal/serve
 
 # Doc-lint: fail on undocumented exported symbols (revive `exported`
 # rule stand-in, zero dependencies).
@@ -128,12 +138,14 @@ benchdiff: bench-current
 report:
 	$(GO) run ./cmd/endurance-report $(REPORT_FLAGS)
 
-# `bench` doubles as the CI benchmark smoke: -benchtime=1x executes every
-# benchmark body once, catching bit-rot in the measurement harness.
+# `fuzz` gives each fuzz target a short run beyond the seed corpora that
+# the test suite replays. `bench` doubles as the CI benchmark smoke:
+# -benchtime=1x executes every benchmark body once, catching bit-rot in
+# the measurement harness.
 # `bench-alloc` prints the hot-path B/op / allocs/op one-liners, and
 # `benchdiff` then diffs a fresh snapshot — BenchmarkHwEngine, the
 # BenchmarkSweep sweep benchmarks, BenchmarkServeSweep's cold/cached
 # serving-throughput pair and BenchmarkFleet's draws/cold/cached/speedup
 # quartet included, timing and allocs/op both — against the committed
 # baseline: advisory locally, strict when BENCHDIFF_FLAGS=-strict.
-ci: gofmt vet doclint promlint race-obs race-core race-serve race-system race-fleet race bench bench-alloc benchdiff
+ci: gofmt vet doclint promlint race-obs race-core race-serve race-system race-fleet race fuzz bench bench-alloc benchdiff

@@ -929,19 +929,21 @@ func BenchmarkFleet(b *testing.B) {
 
 // BenchmarkServeSweep measures the serving layer end to end over HTTP:
 // submit one sweep to internal/serve, poll the job to completion.
-// "cached" answers repeat requests from the WearPlan LRU (the first
-// iteration misses, the rest hit); "cold" runs the same requests
-// against a disabled cache, rebuilding the plan every time — the gap
-// between the two is what the cache buys a fleet of identical clients.
+// "cached" answers every timed request from the WearPlan LRU, which one
+// untimed warm-up request fills; "cold" runs the same requests against a
+// disabled cache, rebuilding the plan every time — the gap between the
+// two is what the cache buys a fleet of identical clients. Each request
+// carries its own seed, so none coalesces onto the one before it while
+// all share one plan. The benchmark fails unless cached reports a hit
+// rate of 1 and cold one of 0.
 func BenchmarkServeSweep(b *testing.B) {
-	body := []byte(`{"benchmark":"mult","bits":16,"lanes":64,"rows":1024,` +
-		`"iterations":100,"recompile_every":50,"seed":1,"strategies":["StxSt"]}`)
 	for _, mode := range []struct {
 		name      string
 		cacheSize int
+		hitRate   float64
 	}{
-		{"cached", 32},
-		{"cold", -1}, // negative capacity disables the PlanCache
+		{"cached", 32, 1},
+		{"cold", -1, 0}, // negative capacity disables the PlanCache
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			obs.Reset()
@@ -955,9 +957,10 @@ func BenchmarkServeSweep(b *testing.B) {
 			ts := httptest.NewServer(srv)
 			defer ts.Close()
 			client := ts.Client()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				resp, err := client.Post(ts.URL+"/sweep", "application/json", bytes.NewReader(body))
+			sweep := func(seed int) {
+				body := fmt.Sprintf(`{"benchmark":"mult","bits":16,"lanes":64,"rows":1024,`+
+					`"iterations":100,"recompile_every":50,"seed":%d,"strategies":["StxSt"]}`, seed)
+				resp, err := client.Post(ts.URL+"/sweep", "application/json", bytes.NewBufferString(body))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -984,7 +987,7 @@ func BenchmarkServeSweep(b *testing.B) {
 						b.Fatal(err)
 					}
 					if st.State == "done" {
-						break
+						return
 					}
 					if st.State == "failed" || st.State == "canceled" {
 						b.Fatalf("job finished %s: %s", st.State, st.Error)
@@ -992,14 +995,29 @@ func BenchmarkServeSweep(b *testing.B) {
 					time.Sleep(100 * time.Microsecond)
 				}
 			}
+			// Warm up outside the timer, then zero the counters once the
+			// warm-up job's latency has landed in serve.job.
+			sweep(0)
+			jobs := obs.GetDurationHistogram("serve.job")
+			for jobs.Count() == 0 {
+				time.Sleep(100 * time.Microsecond)
+			}
+			obs.Reset()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sweep(i + 1)
+			}
 			b.StopTimer()
-			hits := obs.GetCounter("serve.cache_hits").Value()
-			b.ReportMetric(float64(hits)/float64(b.N), "cache_hit_rate")
+			hitRate := float64(obs.GetCounter("serve.cache_hits").Value()) / float64(b.N)
+			if hitRate != mode.hitRate {
+				b.Fatalf("cache hit rate %v, want %v", hitRate, mode.hitRate)
+			}
+			b.ReportMetric(hitRate, "cache_hit_rate")
 			// Tail latency of the serving path itself, from the server's
 			// serve.job histogram — this lands in BENCH_engine.json so
 			// benchdiff gates p99 alongside throughput.
-			if h := obs.GetDurationHistogram("serve.job"); h.Count() > 0 {
-				b.ReportMetric(h.Quantile(0.99)*1000, "p99_ms")
+			if jobs.Count() > 0 {
+				b.ReportMetric(jobs.Quantile(0.99)*1000, "p99_ms")
 			}
 		})
 	}

@@ -14,15 +14,14 @@ import (
 // contrasts the in-memory multiply with the conventional data-movement
 // reference (§1's energy-efficiency motivation, made quantitative).
 func runEnergy(cfg config) error {
-	benches, order, err := benchSet(cfg)
+	opt := pimOptions(cfg)
+	benches, err := pim.PaperBenchmarks(opt)
 	if err != nil {
 		return err
 	}
-	opt := pimOptions(cfg)
 	t := report.NewTable("E17 — energy per benchmark iteration (preset-inclusive)",
 		"benchmark", "technology", "reads (J)", "writes (J)", "total (J)", "EDP (J·s)")
-	for _, fig := range order {
-		b := benches[fig]
+	for _, b := range benches {
 		steps := b.Trace.ComputeStats(opt.PresetOutputs).Steps
 		for _, m := range energy.Models() {
 			br, err := pim.EnergyPerIteration(b, opt, m)

@@ -11,29 +11,9 @@ import (
 	"pimendure/pim"
 )
 
-// benchSet compiles the paper's three kernels at the report's array size.
-func benchSet(cfg config) (map[string]*pim.Benchmark, []string, error) {
-	opt := pimOptions(cfg)
-	mult, err := pim.NewParallelMult(opt, 32)
-	if err != nil {
-		return nil, nil, err
-	}
-	conv, err := pim.NewConvolution(opt, 4, 3, 8)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := 1
-	for n*2 <= cfg.lanes {
-		n *= 2
-	}
-	dot, err := pim.NewDotProduct(opt, n, 32)
-	if err != nil {
-		return nil, nil, err
-	}
-	return map[string]*pim.Benchmark{
-		"fig14": mult, "fig15": conv, "fig16": dot,
-	}, []string{"fig14", "fig15", "fig16"}, nil
-}
+// paperFigs labels pim.PaperBenchmarks' kernels (multiplication,
+// convolution, dot-product) by their heatmap figures.
+var paperFigs = []string{"fig14", "fig15", "fig16"}
 
 func pimOptions(cfg config) pim.Options {
 	return pim.Options{Lanes: cfg.lanes, Rows: cfg.rows, PresetOutputs: true, NANDBasis: true}
@@ -44,11 +24,11 @@ func pimOptions(cfg config) pim.Options {
 // ranking (Fig. 17), Table 3's utilization/improvement summary, and the
 // E14 technology sweep.
 func runSweeps(cfg config) error {
-	benches, order, err := benchSet(cfg)
+	opt := pimOptions(cfg)
+	benches, err := pim.PaperBenchmarks(opt)
 	if err != nil {
 		return err
 	}
-	opt := pimOptions(cfg)
 	rc := pim.RunConfig{Iterations: cfg.iters, RecompileEvery: cfg.recompile, Seed: cfg.seed,
 		Workers: cfg.workers, SampleEvery: cfg.sample}
 
@@ -58,8 +38,8 @@ func runSweeps(cfg config) error {
 	e14 := report.NewTable("E14 — lifetime in days across device technologies",
 		"benchmark", "technology", "endurance", "StxSt days", "best-balanced days")
 
-	for _, fig := range order {
-		b := benches[fig]
+	for i, b := range benches {
+		fig := paperFigs[i]
 		results, err := pim.Sweep(b, opt, rc, nil, pim.MRAM())
 		if err != nil {
 			return err
@@ -158,18 +138,17 @@ func runSweeps(cfg config) error {
 // Ra×Ra lifetime improvement as the recompile period varies from every
 // 10 000 iterations down to every 10, showing saturation around every 50.
 func runRecompileSweep(cfg config) error {
-	benches, order, err := benchSet(cfg)
+	opt := pimOptions(cfg)
+	benches, err := pim.PaperBenchmarks(opt)
 	if err != nil {
 		return err
 	}
-	opt := pimOptions(cfg)
 	periods := []int{10000, 1000, 500, 100, 50, 10}
 	ra := pim.Strategy{Within: pim.Random, Between: pim.Random}
 
 	t := report.NewTable("E11 — lifetime improvement vs recompile period (RaxRa, §5)",
 		"benchmark", "recompile every", "improvement over StxSt", "max writes/iter")
-	for _, fig := range order {
-		b := benches[fig]
+	for _, b := range benches {
 		static, err := pim.Run(b, opt,
 			pim.RunConfig{Iterations: cfg.iters, RecompileEvery: cfg.recompile, Seed: cfg.seed, Workers: cfg.workers},
 			pim.StaticStrategy, pim.MRAM())

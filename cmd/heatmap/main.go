@@ -19,7 +19,7 @@ func main() {
 	log.SetPrefix("heatmap: ")
 
 	run := obs.NewRun("heatmap", flag.CommandLine)
-	benchName := flag.String("bench", "mult", "benchmark: mult, dot, conv")
+	benchName := flag.String("bench", "mult", "benchmark at its paper parameters: mult, dot, conv, add, bnn")
 	lanes := flag.Int("lanes", 1024, "array lanes")
 	rows := flag.Int("rows", 1024, "array rows")
 	within := flag.String("within", "St", "within-lane strategy: St, Ra, Bs")
@@ -68,22 +68,7 @@ func main() {
 	}
 
 	opt := pim.Options{Lanes: *lanes, Rows: *rows, PresetOutputs: true, NANDBasis: true}
-	var bench *pim.Benchmark
-	var err error
-	switch *benchName {
-	case "mult":
-		bench, err = pim.NewParallelMult(opt, 32)
-	case "conv":
-		bench, err = pim.NewConvolution(opt, 4, 3, 8)
-	case "dot":
-		n := 1
-		for n*2 <= opt.Lanes {
-			n *= 2
-		}
-		bench, err = pim.NewDotProduct(opt, n, 32)
-	default:
-		err = fmt.Errorf("unknown benchmark %q", *benchName)
-	}
+	bench, err := pim.NewKernel(opt, pim.KernelSpec{Name: *benchName})
 	if err != nil {
 		log.Fatal(err)
 	}

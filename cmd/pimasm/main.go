@@ -84,7 +84,7 @@ func cmdDump(args []string) error {
 	fs := flag.NewFlagSet("dump", flag.ExitOnError)
 	run := obs.NewRun("pimasm", fs)
 	benchName := fs.String("bench", "mult", "kernel: mult, dot, conv, add, bnn")
-	bits := fs.Int("bits", 8, "operand precision")
+	bits := fs.Int("bits", 8, "operand precision, and the synapse count for bnn (0 = the kernel's paper default)")
 	lanes := fs.Int("lanes", 16, "lanes")
 	rows := fs.Int("rows", 512, "rows")
 	if err := fs.Parse(args); err != nil {
@@ -94,26 +94,7 @@ func cmdDump(args []string) error {
 		return err
 	}
 	opt := pim.Options{Lanes: *lanes, Rows: *rows, PresetOutputs: true, NANDBasis: true}
-	var bench *pim.Benchmark
-	var err error
-	switch *benchName {
-	case "mult":
-		bench, err = pim.NewParallelMult(opt, *bits)
-	case "add":
-		bench, err = pim.NewVectorAdd(opt, *bits)
-	case "bnn":
-		bench, err = pim.NewBNNLayer(opt, *bits)
-	case "conv":
-		bench, err = pim.NewConvolution(opt, 4, 3, *bits)
-	case "dot":
-		n := 1
-		for n*2 <= *lanes {
-			n *= 2
-		}
-		bench, err = pim.NewDotProduct(opt, n, *bits)
-	default:
-		err = fmt.Errorf("unknown kernel %q", *benchName)
-	}
+	bench, err := pim.NewKernel(opt, pim.KernelSpec{Name: *benchName, Bits: *bits, Synapses: *bits})
 	if err != nil {
 		return err
 	}

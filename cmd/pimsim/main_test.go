@@ -1,16 +1,18 @@
 package main
 
 import (
-	"strings"
 	"testing"
 
 	"pimendure/pim"
 )
 
+// Every kernel name -bench documents compiles the way main builds it
+// (at -bits 0, the kernel's paper precision) to a valid trace, and an
+// unknown name is rejected.
 func TestMakeBench(t *testing.T) {
 	opt := pim.Options{Lanes: 16, Rows: 1024, PresetOutputs: true, NANDBasis: true}
-	for _, name := range []string{"mult", "dot", "conv", "add"} {
-		b, err := makeBench(opt, name, 32)
+	for _, name := range []string{"mult", "dot", "conv", "add", "bnn"} {
+		b, err := pim.NewKernel(opt, pim.KernelSpec{Name: name})
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -19,20 +21,7 @@ func TestMakeBench(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
-	if _, err := makeBench(opt, "nope", 32); err == nil {
+	if _, err := pim.NewKernel(opt, pim.KernelSpec{Name: "nope"}); err == nil {
 		t.Error("unknown benchmark accepted")
-	}
-}
-
-// conv defaults to the paper's 8-bit precision when the generic 32-bit
-// default is passed.
-func TestMakeBenchConvPrecision(t *testing.T) {
-	opt := pim.Options{Lanes: 16, Rows: 1024, PresetOutputs: true, NANDBasis: true}
-	b, err := makeBench(opt, "conv", 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := "8-bit"; !strings.Contains(b.Description, want) {
-		t.Errorf("description %q should mention %s", b.Description, want)
 	}
 }

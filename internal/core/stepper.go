@@ -96,3 +96,14 @@ func (s *Stepper) Finish() (*WriteDist, error) {
 	}
 	return w.dist, nil
 }
+
+// Discard closes a stepper without finishing it — for a caller that
+// only read MaxWrites — returning its scratch and counts buffer to the
+// plan's arena. It is a no-op after Finish, and the stepper must not be
+// used again.
+func (s *Stepper) Discard() {
+	if w := s.walk; w.scr != nil {
+		w.finish()
+		w.dist.Release()
+	}
+}

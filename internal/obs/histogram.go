@@ -130,11 +130,13 @@ type HistogramSnapshot struct {
 	Sum   float64 `json:"sum"`
 	// Buckets lists the non-empty buckets in ascending bound order.
 	Buckets []HistogramBucket `json:"buckets,omitempty"`
+
+	seconds bool // a duration histogram: WriteTable prints its values as durations
 }
 
 // Snapshot copies the histogram's current state.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{Name: h.name, Count: h.count.Load(), Sum: h.Sum()}
+	s := HistogramSnapshot{Name: h.name, Count: h.count.Load(), Sum: h.Sum(), seconds: h.scale != 1}
 	for i := 0; i < histBuckets; i++ {
 		if n := h.buckets[i].Load(); n != 0 {
 			_, hi := bucketBounds(i)

@@ -298,18 +298,25 @@ func TestWriteTable(t *testing.T) {
 		obs.GetCounter("a.counter").Add(1)
 		sp := obs.StartSpan("some.stage")
 		sp.End()
+		// Duration histograms print as rounded durations, raw-value ones
+		// to 4 significant digits — never as a 17-digit float.
+		obs.GetDurationHistogram("table.latency").ObserveDuration(12287250 * time.Nanosecond)
+		obs.GetHistogram("table.size").Observe(1234567)
 		var buf bytes.Buffer
 		if err := obs.WriteTable(&buf); err != nil {
 			t.Fatal(err)
 		}
 		out := buf.String()
-		for _, want := range []string{"some.stage", "a.counter", "b.counter"} {
+		for _, want := range []string{"some.stage", "a.counter", "b.counter", "12.287ms", "1.235e+06"} {
 			if !strings.Contains(out, want) {
 				t.Errorf("table missing %q:\n%s", want, out)
 			}
 		}
 		if strings.Index(out, "a.counter") > strings.Index(out, "b.counter") {
 			t.Errorf("counters not sorted:\n%s", out)
+		}
+		if strings.Contains(out, "e-0") || strings.Contains(out, "1234567") {
+			t.Errorf("histogram values not rounded:\n%s", out)
 		}
 	})
 }

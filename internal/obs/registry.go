@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -175,14 +176,17 @@ func Capture() Snapshot {
 // table — the output behind every CLI's -metrics flag.
 func WriteTable(w io.Writer) error {
 	s := Capture()
+	// Durations print rounded to the microsecond; raw values keep 4
+	// significant digits.
+	dur := func(sec float64) string {
+		return time.Duration(sec * float64(time.Second)).Round(time.Microsecond).String()
+	}
 	if len(s.Stages) > 0 {
 		if _, err := fmt.Fprintf(w, "%-40s %10s %14s %14s\n", "stage", "spans", "total", "max span"); err != nil {
 			return err
 		}
 		for _, st := range s.Stages {
-			d := time.Duration(st.Seconds * float64(time.Second)).Round(time.Microsecond)
-			m := time.Duration(st.MaxSeconds * float64(time.Second)).Round(time.Microsecond)
-			if _, err := fmt.Fprintf(w, "%-40s %10d %14s %14s\n", st.Name, st.Count, d, m); err != nil {
+			if _, err := fmt.Fprintf(w, "%-40s %10d %14s %14s\n", st.Name, st.Count, dur(st.Seconds), dur(st.MaxSeconds)); err != nil {
 				return err
 			}
 		}
@@ -192,8 +196,14 @@ func WriteTable(w io.Writer) error {
 			return err
 		}
 		for _, h := range s.Histograms {
-			if _, err := fmt.Fprintf(w, "%-40s %10d %14g %14g %14g\n",
-				h.Name, h.Count, h.Sum, h.Quantile(0.50), h.Quantile(0.99)); err != nil {
+			val := func(v float64) string {
+				if h.seconds {
+					return dur(v)
+				}
+				return strconv.FormatFloat(v, 'g', 4, 64)
+			}
+			if _, err := fmt.Fprintf(w, "%-40s %10d %14s %14s %14s\n",
+				h.Name, h.Count, val(h.Sum), val(h.Quantile(0.50)), val(h.Quantile(0.99))); err != nil {
 				return err
 			}
 		}

@@ -40,9 +40,10 @@ func (t *Timer) Max() time.Duration { return time.Duration(t.maxNS.Load()) }
 // family name "<name>_seconds".
 func (t *Timer) Histogram() HistogramSnapshot {
 	s := HistogramSnapshot{
-		Name:  t.name + "_seconds",
-		Count: t.count.Load(),
-		Sum:   time.Duration(t.ns.Load()).Seconds(),
+		Name:    t.name + "_seconds",
+		Count:   t.count.Load(),
+		Sum:     time.Duration(t.ns.Load()).Seconds(),
+		seconds: true,
 	}
 	for i := 0; i < histBuckets; i++ {
 		if n := t.buckets[i].Load(); n != 0 {

@@ -14,13 +14,14 @@ import (
 // and a device technology. Zero fields take the paper's §4 defaults, so
 // `{"benchmark":"mult"}` is a complete full-scale sweep request.
 type Request struct {
-	// Benchmark names the kernel: "mult"/"multiplication",
-	// "dot"/"dot-product", "conv"/"convolution", "add"/"vector-add",
-	// or "bnn".
+	// Benchmark names the catalogue kernel (pim.KernelSpec): "mult",
+	// "dot", "conv", "add" or "bnn", or an alias such as
+	// "multiplication".
 	Benchmark string `json:"benchmark"`
 	// Bits is the operand precision (default 32; convolution 8).
 	Bits int `json:"bits,omitempty"`
-	// N is the dot-product length (default: the lane count).
+	// N is the dot-product length (default: the largest power of two
+	// ≤ the lane count).
 	N int `json:"n,omitempty"`
 	// GroupLanes and MultsPerLane shape the convolution (default 4×3).
 	GroupLanes   int `json:"group_lanes,omitempty"`
@@ -67,45 +68,19 @@ type Request struct {
 // normalized returns the request with every omitted (zero) field filled
 // in with its default — the canonical form behind coalescing
 // fingerprints, so a request relying on defaults and one spelling them
-// out coalesce together. Negative sizes are left for validate to reject.
+// out coalesce together. The kernel fields take the catalogue's
+// canonical name and defaults. Negative sizes are left for validate to
+// reject.
 func (r Request) normalized() Request {
-	switch strings.ToLower(r.Benchmark) {
-	case "mult", "multiplication":
-		r.Benchmark = "mult"
-	case "dot", "dot-product", "dotproduct":
-		r.Benchmark = "dot"
-	case "conv", "convolution":
-		r.Benchmark = "conv"
-	case "add", "vadd", "vector-add", "vectoradd":
-		r.Benchmark = "add"
-	case "bnn":
-		r.Benchmark = "bnn"
-	}
 	if r.Lanes == 0 {
 		r.Lanes = 1024
 	}
 	if r.Rows == 0 {
 		r.Rows = 1024
 	}
-	if r.Bits == 0 {
-		if r.Benchmark == "conv" {
-			r.Bits = 8
-		} else {
-			r.Bits = 32
-		}
-	}
-	if r.N == 0 {
-		r.N = r.Lanes
-	}
-	if r.GroupLanes == 0 {
-		r.GroupLanes = 4
-	}
-	if r.MultsPerLane == 0 {
-		r.MultsPerLane = 3
-	}
-	if r.Synapses == 0 {
-		r.Synapses = 64
-	}
+	k := r.spec().Normalize(r.Lanes)
+	r.Benchmark, r.Bits, r.N, r.GroupLanes, r.MultsPerLane, r.Synapses =
+		k.Name, k.Bits, k.N, k.GroupLanes, k.MultsPerLane, k.Synapses
 	if r.Iterations == 0 {
 		r.Iterations = 10000
 	}
@@ -128,27 +103,22 @@ func (r Request) normalized() Request {
 }
 
 // validate checks a normalized request against the server's admission
-// caps — the cheap rejection (400) that keeps a hostile or mistyped
-// request from ever reaching the compile/simulate pipeline.
+// caps and the catalogue's kernel check — the cheap rejection (400)
+// that keeps a hostile or mistyped request from ever reaching the
+// compile/simulate pipeline.
 func (r Request) validate(cfg Config) error {
-	switch r.Benchmark {
-	case "mult", "dot", "conv", "add", "bnn":
-	case "":
-		return fmt.Errorf("missing benchmark (mult, dot, conv, add, bnn)")
-	default:
-		return fmt.Errorf("unknown benchmark %q (mult, dot, conv, add, bnn)", r.Benchmark)
-	}
 	for _, f := range []struct {
 		name string
 		v    int
 	}{
-		{"lanes", r.Lanes}, {"rows", r.Rows}, {"bits", r.Bits}, {"n", r.N},
-		{"group_lanes", r.GroupLanes}, {"mults_per_lane", r.MultsPerLane},
-		{"synapses", r.Synapses}, {"iterations", r.Iterations}, {"devices", r.Devices},
+		{"lanes", r.Lanes}, {"rows", r.Rows}, {"iterations", r.Iterations}, {"devices", r.Devices},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("%s must be positive, got %d", f.name, f.v)
 		}
+	}
+	if err := r.spec().Check(r.Lanes); err != nil {
+		return err
 	}
 	if r.Lanes > cfg.MaxLanes || r.Rows > cfg.MaxRows {
 		return fmt.Errorf("array %d×%d exceeds the server cap %d×%d", r.Lanes, r.Rows, cfg.MaxLanes, cfg.MaxRows)
@@ -170,7 +140,7 @@ func (r Request) validate(cfg Config) error {
 			return fmt.Errorf("negative sigma %v", s)
 		}
 	}
-	if _, err := r.technology(); err != nil {
+	if _, err := pim.TechnologyNamed(r.Technology); err != nil {
 		return err
 	}
 	if _, err := r.technologies(); err != nil {
@@ -187,31 +157,14 @@ func (r Request) validate(cfg Config) error {
 // cap keeps a single request from smuggling in an unbounded study.
 const maxFleetSigmas = 16
 
-// technology resolves the named device model.
-func (r Request) technology() (pim.Technology, error) {
-	for _, t := range pim.Technologies() {
-		if strings.EqualFold(t.Name, r.Technology) {
-			return t, nil
-		}
-	}
-	return pim.Technology{}, fmt.Errorf("unknown technology %q (MRAM, RRAM, PCM, MRAM-projected)", r.Technology)
-}
-
 // technologies resolves the fleet sweep's device-model list (normalized
 // to at least the single Technology).
 func (r Request) technologies() ([]pim.Technology, error) {
-	out := make([]pim.Technology, 0, len(r.Technologies))
-	for _, name := range r.Technologies {
-		found := false
-		for _, t := range pim.Technologies() {
-			if strings.EqualFold(t.Name, name) {
-				out = append(out, t)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("unknown technology %q (MRAM, RRAM, PCM, MRAM-projected)", name)
+	out := make([]pim.Technology, len(r.Technologies))
+	for i, name := range r.Technologies {
+		var err error
+		if out[i], err = pim.TechnologyNamed(name); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
@@ -274,21 +227,14 @@ func (r Request) options() pim.Options {
 	}
 }
 
-// compile builds the named benchmark — the expensive half of request
+// spec maps the request's kernel fields onto the catalogue.
+func (r Request) spec() pim.KernelSpec {
+	return pim.KernelSpec{Name: r.Benchmark, Bits: r.Bits, N: r.N,
+		GroupLanes: r.GroupLanes, MultsPerLane: r.MultsPerLane, Synapses: r.Synapses}
+}
+
+// compile builds the requested kernel — the expensive half of request
 // construction, run on a queue worker rather than the request handler.
 func (r Request) compile() (*pim.Benchmark, error) {
-	opt := r.options()
-	switch r.Benchmark {
-	case "mult":
-		return pim.NewParallelMult(opt, r.Bits)
-	case "dot":
-		return pim.NewDotProduct(opt, r.N, r.Bits)
-	case "conv":
-		return pim.NewConvolution(opt, r.GroupLanes, r.MultsPerLane, r.Bits)
-	case "add":
-		return pim.NewVectorAdd(opt, r.Bits)
-	case "bnn":
-		return pim.NewBNNLayer(opt, r.Synapses)
-	}
-	return nil, fmt.Errorf("unknown benchmark %q", r.Benchmark)
+	return pim.NewKernel(r.options(), r.spec())
 }

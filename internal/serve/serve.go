@@ -380,7 +380,7 @@ func (s *Server) run(j *job) (*JobResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	tech, err := req.technology()
+	tech, err := pim.TechnologyNamed(req.Technology)
 	if err != nil {
 		return nil, err
 	}

@@ -292,10 +292,24 @@ func TestRequestValidation(t *testing.T) {
 		"negative synapses":       {"benchmark": "bnn", "synapses": -64},
 		"negative iterations":     {"benchmark": "mult", "iterations": -3},
 		"negative devices":        {"benchmark": "mult", "devices": -1},
+		// Kernel shapes the catalogue rejects fail admission, not the job.
+		"non-power-of-two n": {"benchmark": "dot", "n": 3},
+		"n over the lanes":   {"benchmark": "dot", "lanes": 16, "n": 32},
+		"1-bit operands":     {"benchmark": "mult", "bits": 1},
 	} {
 		if code, out := postJSON(t, ts.Client(), ts.URL+"/sweep", body); code != http.StatusBadRequest || out["error"] == "" {
 			t.Errorf("%s: status %d body %v, want 400 with error", name, code, out)
 		}
+	}
+
+	// An omitted dot length is the largest power of two ≤ the lanes, so
+	// a 1000-lane dot product is admitted and runs over 512 elements.
+	id := submitJob(t, ts.Client(), ts.URL, map[string]any{
+		"benchmark": "dot", "lanes": 1000, "rows": 256, "bits": 4,
+		"iterations": 20, "recompile_every": 10, "strategies": []string{"StxSt"},
+	})
+	if st := pollDone(t, ts.Client(), ts.URL, id); st.State != "done" {
+		t.Errorf("1000-lane dot job ended %s: %s", st.State, st.Error)
 	}
 
 	resp, err := ts.Client().Get(ts.URL + "/sweep")
@@ -767,20 +781,6 @@ func TestParseStrategy(t *testing.T) {
 		if _, err := parseStrategy(bad); err == nil {
 			t.Errorf("malformed strategy %q accepted", bad)
 		}
-	}
-}
-
-// Technology names resolve case-insensitively to the paper's device
-// models.
-func TestTechnologyLookup(t *testing.T) {
-	for _, name := range []string{"MRAM", "rram", "Pcm", "MRAM-projected"} {
-		r := Request{Technology: name}
-		if _, err := r.technology(); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-	}
-	if _, err := (Request{Technology: "SRAM"}).technology(); err == nil {
-		t.Error("unknown technology accepted")
 	}
 }
 

@@ -421,6 +421,15 @@ func route(plan *core.WearPlan, sim core.SimConfig, strat core.StrategyConfig, c
 	var steppers []*core.Stepper
 	if cfg.Policy == WearAware {
 		steppers = make([]*core.Stepper, banks)
+		// Routing only reads the live maxima: the steppers' buffers go
+		// back to the plan's arena for the bank simulations that follow.
+		defer func() {
+			for _, st := range steppers {
+				if st != nil {
+					st.Discard()
+				}
+			}
+		}()
 	}
 	liveMax := func(b int) uint64 {
 		m := prior(b)

@@ -7,6 +7,7 @@ import (
 	"pimendure/internal/core"
 	"pimendure/internal/device"
 	"pimendure/internal/mapping"
+	"pimendure/internal/obs"
 	"pimendure/internal/synth"
 	"pimendure/internal/system"
 	"pimendure/internal/workloads"
@@ -294,6 +295,39 @@ func TestStripeRejectsBadConfig(t *testing.T) {
 	for _, c := range cases {
 		if _, err := system.Stripe(plan, c.sim, swStrategy(), c.cfg); err == nil {
 			t.Errorf("%s: Stripe accepted the configuration", c.name)
+		}
+	}
+}
+
+// Wear-aware routing hands its steppers' buffers back to the plan's
+// arena when routing ends, so a second stripe on a warm plan allocates
+// no engine scratch, counts buffer or +Hw histogram.
+func TestWearAwareStripeReusesArena(t *testing.T) {
+	obs.Reset()
+	obs.Enable()
+	defer func() {
+		obs.Disable()
+		obs.Reset()
+	}()
+	plan := bankFixture(t)
+	sim := core.SimConfig{
+		Rows: 96, PresetOutputs: true,
+		Iterations: 160, RecompileEvery: 10, Seed: 3, Workers: 1,
+	}
+	strat := core.StrategyConfig{Within: mapping.Random, Between: mapping.Random, Hw: true}
+	cfg := system.BankConfig{Org: device.FlatOrganization(4), Policy: system.WearAware, Endurance: 1e12}
+	misses := obs.GetCounter("core.arena_misses")
+	for stripe := 1; stripe <= 2; stripe++ {
+		before := misses.Value()
+		res, err := system.Stripe(plan, sim, strat, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := misses.Value() - before; stripe == 2 && got != 0 {
+			t.Errorf("warm wear-aware stripe recorded %d arena misses, want 0", got)
+		}
+		for _, b := range res.Banks {
+			b.Dist.Release()
 		}
 	}
 }

@@ -95,7 +95,9 @@ func ReadDist(r io.Reader) (*core.WriteDist, error) {
 	if in.Rows <= 0 || in.Lanes <= 0 {
 		return nil, fmt.Errorf("traceio: non-positive dimensions %dx%d", in.Rows, in.Lanes)
 	}
-	if len(in.Counts) != in.Rows*in.Lanes {
+	// Divide rather than multiply: rows×lanes can overflow int and wrap
+	// to the length of a short counts array.
+	if len(in.Counts)%in.Rows != 0 || len(in.Counts)/in.Rows != in.Lanes {
 		return nil, fmt.Errorf("traceio: %d counts do not fill %dx%d", len(in.Counts), in.Rows, in.Lanes)
 	}
 	d := core.NewWriteDist(in.Rows, in.Lanes)

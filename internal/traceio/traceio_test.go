@@ -132,6 +132,8 @@ func TestReadDistRejectsCorruption(t *testing.T) {
 		"bad shape":   strings.Replace(good, `"rows":2`, `"rows":3`, 1),
 		"zero dims":   strings.Replace(good, `"rows":2`, `"rows":0`, 1),
 		"not json":    "nope",
+		// rows×lanes wraps to 0 in 64-bit arithmetic.
+		"overflowing dims": `{"version":1,"rows":4611686018427387904,"lanes":4,"counts":[]}`,
 	}
 	for name, payload := range cases {
 		if _, err := ReadDist(strings.NewReader(payload)); err == nil {

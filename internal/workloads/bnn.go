@@ -20,86 +20,67 @@ import (
 // (popcount), compares against a ⌈log₂(n+1)⌉-bit threshold, and reads the
 // single-bit activation out. This is an extension benchmark beyond the
 // paper's three kernels.
-func BNNLayer(cfg Config, n int) (bench *Benchmark, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			bench, err = nil, fmt.Errorf("workloads: %v (increase Rows?)", r)
+func BNNLayer(cfg Config, n int) (*Benchmark, error) {
+	return build(cfg, Kernel{Name: "bnn", Synapses: n}, func(bld *program.Builder, basis synth.Basis) *Benchmark {
+		act, aSlot := bld.WriteVector(n)
+		wgt, wSlot := bld.WriteVector(n)
+
+		// XNOR per synapse: 1 on agreement (±1 product = +1).
+		match := make([]program.Bit, n)
+		for i := 0; i < n; i++ {
+			x := basis.Xor(bld, act[i], wgt[i])
+			match[i] = bld.Gate(gates.NOT, x, program.NoBit)
+			bld.Free(x)
 		}
-	}()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if n < 2 {
-		return nil, fmt.Errorf("workloads: BNN layer needs ≥2 synapses, got %d", n)
-	}
-	basis := cfg.basis()
-	bld := program.NewBuilder(cfg.Lanes, cfg.Rows-1)
-	bld.SetAllocPolicy(cfg.Alloc)
+		bld.Free(act...)
+		bld.Free(wgt...)
 
-	act, aSlot := bld.WriteVector(n)
-	wgt, wSlot := bld.WriteVector(n)
+		// Popcount: fold the match bits into a growing binary counter,
+		// trimming top bits that are provably zero (the running sum after i
+		// synapses is at most i, so ⌈log₂(i+1)⌉ bits suffice).
+		count := []program.Bit{match[0]}
+		for i := 1; i < n; i++ {
+			next := synth.AddUneven(bld, basis, count, match[i:i+1])
+			bld.Free(count...)
+			bld.Free(match[i])
+			if needed := popcountWidth(i + 1); len(next) > needed {
+				bld.Free(next[needed:]...)
+				next = next[:needed]
+			}
+			count = next
+		}
+		width := len(count)
 
-	// XNOR per synapse: 1 on agreement (±1 product = +1).
-	match := make([]program.Bit, n)
-	for i := 0; i < n; i++ {
-		x := basis.Xor(bld, act[i], wgt[i])
-		match[i] = bld.Gate(gates.NOT, x, program.NoBit)
-		bld.Free(x)
-	}
-	bld.Free(act...)
-	bld.Free(wgt...)
-
-	// Popcount: fold the match bits into a growing binary counter,
-	// trimming top bits that are provably zero (the running sum after i
-	// synapses is at most i, so ⌈log₂(i+1)⌉ bits suffice).
-	count := []program.Bit{match[0]}
-	for i := 1; i < n; i++ {
-		next := synth.AddUneven(bld, basis, count, match[i:i+1])
+		thr, tSlot := bld.WriteVector(width)
+		out := synth.GreaterEqual(bld, basis, count, thr)
+		oSlot := bld.Read(out)
 		bld.Free(count...)
-		bld.Free(match[i])
-		if needed := popcountWidth(i + 1); len(next) > needed {
-			bld.Free(next[needed:]...)
-			next = next[:needed]
-		}
-		count = next
-	}
-	width := len(count)
-
-	thr, tSlot := bld.WriteVector(width)
-	out := synth.GreaterEqual(bld, basis, count, thr)
-	oSlot := bld.Read(out)
-	bld.Free(count...)
-	bld.Free(thr...)
-	bld.Free(out)
-
-	tr := bld.Trace()
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	lanes := cfg.Lanes
-	return &Benchmark{
-		Name: "bnn-layer",
-		Description: fmt.Sprintf("binarized NN neuron, %d synapses (XNOR+popcount+threshold), %d lanes, %s basis",
-			n, lanes, basis.Name()),
-		Trace: tr,
-		Check: func(data DataFunc, out OutFunc) error {
-			for l := 0; l < lanes; l++ {
-				var agree uint64
-				for i := 0; i < n; i++ {
-					if data(aSlot+i, l) == data(wSlot+i, l) {
-						agree++
+		bld.Free(thr...)
+		bld.Free(out)
+		lanes := cfg.Lanes
+		return &Benchmark{
+			Name: "bnn-layer",
+			Description: fmt.Sprintf("binarized NN neuron, %d synapses (XNOR+popcount+threshold), %d lanes, %s basis",
+				n, lanes, basis.Name()),
+			Check: func(data DataFunc, out OutFunc) error {
+				for l := 0; l < lanes; l++ {
+					var agree uint64
+					for i := 0; i < n; i++ {
+						if data(aSlot+i, l) == data(wSlot+i, l) {
+							agree++
+						}
+					}
+					threshold := slotWord(data, tSlot, width, l)
+					want := agree >= threshold
+					if got := out(oSlot, l); got != want {
+						return fmt.Errorf("lane %d: %d matches vs threshold %d read %v, want %v",
+							l, agree, threshold, got, want)
 					}
 				}
-				threshold := slotWord(data, tSlot, width, l)
-				want := agree >= threshold
-				if got := out(oSlot, l); got != want {
-					return fmt.Errorf("lane %d: %d matches vs threshold %d read %v, want %v",
-						l, agree, threshold, got, want)
-				}
-			}
-			return nil
-		},
-	}, nil
+				return nil
+			},
+		}
+	})
 }
 
 // popcountWidth returns ⌈log₂(n+1)⌉, the counter width an n-input

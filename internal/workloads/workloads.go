@@ -104,52 +104,33 @@ func outWord(out OutFunc, first, width, lane int) uint64 {
 // benchmark: every lane loads two fresh bits-wide operands, multiplies them
 // with a Dadda multiplier, and reads the 2·bits product out (§4: 32-bit
 // operands, one multiplication per lane, all lanes utilized).
-func ParallelMult(cfg Config, bits int) (bench *Benchmark, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			bench, err = nil, fmt.Errorf("workloads: %v (increase Rows?)", r)
-		}
-	}()
-
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if bits < 2 {
-		return nil, fmt.Errorf("workloads: multiplication needs ≥2-bit operands, got %d", bits)
-	}
-	basis := cfg.basis()
-	bld := program.NewBuilder(cfg.Lanes, cfg.Rows-1)
-	bld.SetAllocPolicy(cfg.Alloc)
-	a, aSlot := bld.WriteVector(bits)
-	b, bSlot := bld.WriteVector(bits)
-	prod := synth.Dadda(bld, basis, a, b)
-	pSlot := bld.ReadVector(prod)
-	bld.Free(a...)
-	bld.Free(b...)
-	bld.Free(prod...)
-
-	tr := bld.Trace()
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	lanes := cfg.Lanes
-	return &Benchmark{
-		Name: "multiplication",
-		Description: fmt.Sprintf("embarrassingly parallel %d-bit multiplication, %d lanes, %s basis",
-			bits, lanes, basis.Name()),
-		Trace: tr,
-		Check: func(data DataFunc, out OutFunc) error {
-			for l := 0; l < lanes; l++ {
-				x := slotWord(data, aSlot, bits, l)
-				y := slotWord(data, bSlot, bits, l)
-				got := outWord(out, pSlot, 2*bits, l)
-				if got != x*y {
-					return fmt.Errorf("lane %d: %d×%d read back %d, want %d", l, x, y, got, x*y)
+func ParallelMult(cfg Config, bits int) (*Benchmark, error) {
+	return build(cfg, Kernel{Name: "mult", Bits: bits}, func(bld *program.Builder, basis synth.Basis) *Benchmark {
+		a, aSlot := bld.WriteVector(bits)
+		b, bSlot := bld.WriteVector(bits)
+		prod := synth.Dadda(bld, basis, a, b)
+		pSlot := bld.ReadVector(prod)
+		bld.Free(a...)
+		bld.Free(b...)
+		bld.Free(prod...)
+		lanes := cfg.Lanes
+		return &Benchmark{
+			Name: "multiplication",
+			Description: fmt.Sprintf("embarrassingly parallel %d-bit multiplication, %d lanes, %s basis",
+				bits, lanes, basis.Name()),
+			Check: func(data DataFunc, out OutFunc) error {
+				for l := 0; l < lanes; l++ {
+					x := slotWord(data, aSlot, bits, l)
+					y := slotWord(data, bSlot, bits, l)
+					got := outWord(out, pSlot, 2*bits, l)
+					if got != x*y {
+						return fmt.Errorf("lane %d: %d×%d read back %d, want %d", l, x, y, got, x*y)
+					}
 				}
-			}
-			return nil
-		},
-	}, nil
+				return nil
+			},
+		}
+	})
 }
 
 // DotProduct compiles the vector dot-product benchmark: n element pairs
@@ -157,83 +138,58 @@ func ParallelMult(cfg Config, bits int) (bench *Benchmark, err error) {
 // repeatedly moves partial sums into lower-numbered lanes and adds them,
 // leaving the scalar result in lane 0 (§4: 1024-element vectors of 32-bit
 // operands). n must be a power of two no larger than the lane count.
-func DotProduct(cfg Config, n, bits int) (bench *Benchmark, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			bench, err = nil, fmt.Errorf("workloads: %v (increase Rows?)", r)
+func DotProduct(cfg Config, n, bits int) (*Benchmark, error) {
+	return build(cfg, Kernel{Name: "dot", N: n, Bits: bits}, func(bld *program.Builder, basis synth.Basis) *Benchmark {
+		active := program.RangeMask(cfg.Lanes, 0, n)
+		bld.SetMask(active)
+		a, aSlot := bld.WriteVector(bits)
+		b, bSlot := bld.WriteVector(bits)
+		cur := synth.Dadda(bld, basis, a, b)
+		bld.Free(a...)
+		bld.Free(b...)
+
+		// Reduction: partial sums migrate toward lane 0 (§5: "dot-product
+		// heavily uses columns at low addresses, as partial sums are
+		// repeatedly moved to lower addresses").
+		for stride := n / 2; stride >= 1; stride /= 2 {
+			bld.SetMask(program.RangeMask(cfg.Lanes, 0, stride))
+			moved := bld.MoveVector(cur, nil, stride)
+			sum := synth.RippleCarryAdd(bld, basis, cur, moved)
+			bld.Free(cur...)
+			bld.Free(moved...)
+			cur = sum
 		}
-	}()
 
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if n < 2 || n&(n-1) != 0 {
-		return nil, fmt.Errorf("workloads: dot-product length %d must be a power of two ≥ 2", n)
-	}
-	if n > cfg.Lanes {
-		return nil, fmt.Errorf("workloads: dot-product length %d exceeds %d lanes", n, cfg.Lanes)
-	}
-	if bits < 2 {
-		return nil, fmt.Errorf("workloads: dot-product needs ≥2-bit operands, got %d", bits)
-	}
-	basis := cfg.basis()
-	bld := program.NewBuilder(cfg.Lanes, cfg.Rows-1)
-	bld.SetAllocPolicy(cfg.Alloc)
-	active := program.RangeMask(cfg.Lanes, 0, n)
-	bld.SetMask(active)
-	a, aSlot := bld.WriteVector(bits)
-	b, bSlot := bld.WriteVector(bits)
-	cur := synth.Dadda(bld, basis, a, b)
-	bld.Free(a...)
-	bld.Free(b...)
-
-	// Reduction: partial sums migrate toward lane 0 (§5: "dot-product
-	// heavily uses columns at low addresses, as partial sums are
-	// repeatedly moved to lower addresses").
-	for stride := n / 2; stride >= 1; stride /= 2 {
-		bld.SetMask(program.RangeMask(cfg.Lanes, 0, stride))
-		moved := bld.MoveVector(cur, nil, stride)
-		sum := synth.RippleCarryAdd(bld, basis, cur, moved)
+		bld.SetMask(program.RangeMask(cfg.Lanes, 0, 1))
+		width := len(cur) // 2·bits + log₂(n)
+		sSlot := bld.ReadVector(cur)
 		bld.Free(cur...)
-		bld.Free(moved...)
-		cur = sum
-	}
-
-	bld.SetMask(program.RangeMask(cfg.Lanes, 0, 1))
-	width := len(cur) // 2·bits + log₂(n)
-	sSlot := bld.ReadVector(cur)
-	bld.Free(cur...)
-
-	tr := bld.Trace()
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	return &Benchmark{
-		Name: "dot-product",
-		Description: fmt.Sprintf("%d-element dot-product of %d-bit operands, %d lanes, %s basis",
-			n, bits, cfg.Lanes, basis.Name()),
-		Trace: tr,
-		Check: func(data DataFunc, out OutFunc) error {
-			want := new(big.Int)
-			tmp := new(big.Int)
-			for l := 0; l < n; l++ {
-				x := slotWord(data, aSlot, bits, l)
-				y := slotWord(data, bSlot, bits, l)
-				tmp.SetUint64(x)
-				want.Add(want, tmp.Mul(tmp, new(big.Int).SetUint64(y)))
-			}
-			got := new(big.Int)
-			for i := 0; i < width; i++ {
-				if out(sSlot+i, 0) {
-					got.SetBit(got, i, 1)
+		return &Benchmark{
+			Name: "dot-product",
+			Description: fmt.Sprintf("%d-element dot-product of %d-bit operands, %d lanes, %s basis",
+				n, bits, cfg.Lanes, basis.Name()),
+			Check: func(data DataFunc, out OutFunc) error {
+				want := new(big.Int)
+				tmp := new(big.Int)
+				for l := 0; l < n; l++ {
+					x := slotWord(data, aSlot, bits, l)
+					y := slotWord(data, bSlot, bits, l)
+					tmp.SetUint64(x)
+					want.Add(want, tmp.Mul(tmp, new(big.Int).SetUint64(y)))
 				}
-			}
-			if got.Cmp(want) != 0 {
-				return fmt.Errorf("dot-product read back %v, want %v", got, want)
-			}
-			return nil
-		},
-	}, nil
+				got := new(big.Int)
+				for i := 0; i < width; i++ {
+					if out(sSlot+i, 0) {
+						got.SetBit(got, i, 1)
+					}
+				}
+				if got.Cmp(want) != 0 {
+					return fmt.Errorf("dot-product read back %v, want %v", got, want)
+				}
+				return nil
+			},
+		}
+	})
 }
 
 // ConvConfig parameterizes the convolution benchmark. The paper's instance
@@ -249,189 +205,137 @@ type ConvConfig struct {
 	Bits         int // operand precision
 }
 
-// DefaultConv returns the paper's 4×3 filter at 8-bit precision.
-func DefaultConv() ConvConfig {
-	return ConvConfig{GroupLanes: 4, MultsPerLane: 3, Bits: 8}
-}
-
 // Convolution compiles the convolution benchmark. cfg.Lanes must be a
 // multiple of cc.GroupLanes.
-func Convolution(cfg Config, cc ConvConfig) (bench *Benchmark, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			bench, err = nil, fmt.Errorf("workloads: %v (increase Rows?)", r)
+func Convolution(cfg Config, cc ConvConfig) (*Benchmark, error) {
+	shape := Kernel{Name: "conv", Bits: cc.Bits, GroupLanes: cc.GroupLanes, MultsPerLane: cc.MultsPerLane}
+	return build(cfg, shape, func(bld *program.Builder, basis synth.Basis) *Benchmark {
+		bits := cc.Bits
+
+		// Per lane: load MultsPerLane neuron/weight pairs, multiply-and-
+		// accumulate them sequentially.
+		type operand struct{ n, w []program.Bit }
+		ops := make([]operand, cc.MultsPerLane)
+		nSlots := make([]int, cc.MultsPerLane)
+		wSlots := make([]int, cc.MultsPerLane)
+		for j := range ops {
+			ops[j].n, nSlots[j] = bld.WriteVector(bits)
+			ops[j].w, wSlots[j] = bld.WriteVector(bits)
 		}
-	}()
+		acc := synth.Dadda(bld, basis, ops[0].n, ops[0].w)
+		bld.Free(ops[0].n...)
+		bld.Free(ops[0].w...)
+		for j := 1; j < cc.MultsPerLane; j++ {
+			p := synth.Dadda(bld, basis, ops[j].n, ops[j].w)
+			bld.Free(ops[j].n...)
+			bld.Free(ops[j].w...)
+			sum := synth.AddUneven(bld, basis, acc, p)
+			bld.Free(acc...)
+			bld.Free(p...)
+			acc = sum
+		}
 
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cc.GroupLanes < 2 || cc.MultsPerLane < 1 || cc.Bits < 2 {
-		return nil, fmt.Errorf("workloads: invalid convolution shape %+v", cc)
-	}
-	if cfg.Lanes%cc.GroupLanes != 0 {
-		return nil, fmt.Errorf("workloads: %d lanes not divisible into groups of %d", cfg.Lanes, cc.GroupLanes)
-	}
-	basis := cfg.basis()
-	bits := cc.Bits
-	bld := program.NewBuilder(cfg.Lanes, cfg.Rows-1)
-	bld.SetAllocPolicy(cfg.Alloc)
+		// Collapse each group's partial sums into its first lane. Moves must
+		// source the original per-lane partial-sum addresses: non-head lanes
+		// never execute the accumulation gates below, so only those addresses
+		// hold their data.
+		heads := program.StrideMask(cfg.Lanes, cc.GroupLanes, 0)
+		partial := acc
+		run := partial
+		for g := 1; g < cc.GroupLanes; g++ {
+			bld.SetMask(heads)
+			moved := bld.MoveVector(partial, nil, g)
+			sum := synth.AddUneven(bld, basis, run, moved)
+			if g > 1 { // run == partial on the first pass; partial is freed after the loop
+				bld.Free(run...)
+			}
+			bld.Free(moved...)
+			run = sum
+		}
+		bld.Free(partial...)
+		acc = run
 
-	// Per lane: load MultsPerLane neuron/weight pairs, multiply-and-
-	// accumulate them sequentially.
-	type operand struct{ n, w []program.Bit }
-	ops := make([]operand, cc.MultsPerLane)
-	nSlots := make([]int, cc.MultsPerLane)
-	wSlots := make([]int, cc.MultsPerLane)
-	for j := range ops {
-		ops[j].n, nSlots[j] = bld.WriteVector(bits)
-		ops[j].w, wSlots[j] = bld.WriteVector(bits)
-	}
-	acc := synth.Dadda(bld, basis, ops[0].n, ops[0].w)
-	bld.Free(ops[0].n...)
-	bld.Free(ops[0].w...)
-	for j := 1; j < cc.MultsPerLane; j++ {
-		p := synth.Dadda(bld, basis, ops[j].n, ops[j].w)
-		bld.Free(ops[j].n...)
-		bld.Free(ops[j].w...)
-		sum := synth.AddUneven(bld, basis, acc, p)
-		bld.Free(acc...)
-		bld.Free(p...)
-		acc = sum
-	}
-
-	// Collapse each group's partial sums into its first lane. Moves must
-	// source the original per-lane partial-sum addresses: non-head lanes
-	// never execute the accumulation gates below, so only those addresses
-	// hold their data.
-	heads := program.StrideMask(cfg.Lanes, cc.GroupLanes, 0)
-	partial := acc
-	run := partial
-	for g := 1; g < cc.GroupLanes; g++ {
+		// Threshold comparison in the head lanes (binary NN output, §4).
+		width := len(acc)
 		bld.SetMask(heads)
-		moved := bld.MoveVector(partial, nil, g)
-		sum := synth.AddUneven(bld, basis, run, moved)
-		if g > 1 { // run == partial on the first pass; partial is freed after the loop
-			bld.Free(run...)
-		}
-		bld.Free(moved...)
-		run = sum
-	}
-	bld.Free(partial...)
-	acc = run
-
-	// Threshold comparison in the head lanes (binary NN output, §4).
-	width := len(acc)
-	bld.SetMask(heads)
-	thr, tSlot := bld.WriteVector(width)
-	ge := synth.GreaterEqual(bld, basis, acc, thr)
-	oSlot := bld.Read(ge)
-	bld.Free(acc...)
-	bld.Free(thr...)
-	bld.Free(ge)
-
-	tr := bld.Trace()
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	lanes := cfg.Lanes
-	return &Benchmark{
-		Name: "convolution",
-		Description: fmt.Sprintf("convolution, %d×%d filter positions per group, %d-bit, %d lanes, %s basis",
-			cc.GroupLanes, cc.MultsPerLane, bits, lanes, basis.Name()),
-		Trace: tr,
-		Check: func(data DataFunc, out OutFunc) error {
-			for head := 0; head < lanes; head += cc.GroupLanes {
-				var total uint64
-				for g := 0; g < cc.GroupLanes; g++ {
-					l := head + g
-					for j := 0; j < cc.MultsPerLane; j++ {
-						total += slotWord(data, nSlots[j], bits, l) * slotWord(data, wSlots[j], bits, l)
+		thr, tSlot := bld.WriteVector(width)
+		ge := synth.GreaterEqual(bld, basis, acc, thr)
+		oSlot := bld.Read(ge)
+		bld.Free(acc...)
+		bld.Free(thr...)
+		bld.Free(ge)
+		lanes := cfg.Lanes
+		return &Benchmark{
+			Name: "convolution",
+			Description: fmt.Sprintf("convolution, %d×%d filter positions per group, %d-bit, %d lanes, %s basis",
+				cc.GroupLanes, cc.MultsPerLane, bits, lanes, basis.Name()),
+			Check: func(data DataFunc, out OutFunc) error {
+				for head := 0; head < lanes; head += cc.GroupLanes {
+					var total uint64
+					for g := 0; g < cc.GroupLanes; g++ {
+						l := head + g
+						for j := 0; j < cc.MultsPerLane; j++ {
+							total += slotWord(data, nSlots[j], bits, l) * slotWord(data, wSlots[j], bits, l)
+						}
+					}
+					threshold := slotWord(data, tSlot, width, head)
+					want := total >= threshold
+					if got := out(oSlot, head); got != want {
+						return fmt.Errorf("group at lane %d: sum %d vs threshold %d read %v, want %v",
+							head, total, threshold, got, want)
 					}
 				}
-				threshold := slotWord(data, tSlot, width, head)
-				want := total >= threshold
-				if got := out(oSlot, head); got != want {
-					return fmt.Errorf("group at lane %d: sum %d vs threshold %d read %v, want %v",
-						head, total, threshold, got, want)
-				}
-			}
-			return nil
-		},
-	}, nil
+				return nil
+			},
+		}
+	})
 }
 
 // VectorAdd compiles an embarrassingly parallel addition benchmark (an
 // extension beyond the paper's three kernels, exercising the operation
 // Table 2 shows has the worst shuffle overhead): every lane adds two fresh
 // bits-wide operands.
-func VectorAdd(cfg Config, bits int) (bench *Benchmark, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			bench, err = nil, fmt.Errorf("workloads: %v (increase Rows?)", r)
-		}
-	}()
-
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if bits < 1 {
-		return nil, fmt.Errorf("workloads: addition needs ≥1-bit operands, got %d", bits)
-	}
-	basis := cfg.basis()
-	bld := program.NewBuilder(cfg.Lanes, cfg.Rows-1)
-	bld.SetAllocPolicy(cfg.Alloc)
-	a, aSlot := bld.WriteVector(bits)
-	b, bSlot := bld.WriteVector(bits)
-	sum := synth.RippleCarryAdd(bld, basis, a, b)
-	sSlot := bld.ReadVector(sum)
-	bld.Free(a...)
-	bld.Free(b...)
-	bld.Free(sum...)
-
-	tr := bld.Trace()
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	lanes := cfg.Lanes
-	return &Benchmark{
-		Name:        "vector-add",
-		Description: fmt.Sprintf("parallel %d-bit addition, %d lanes, %s basis", bits, lanes, basis.Name()),
-		Trace:       tr,
-		Check: func(data DataFunc, out OutFunc) error {
-			for l := 0; l < lanes; l++ {
-				x := slotWord(data, aSlot, bits, l)
-				y := slotWord(data, bSlot, bits, l)
-				if got := outWord(out, sSlot, bits+1, l); got != x+y {
-					return fmt.Errorf("lane %d: %d+%d read back %d", l, x, y, got)
+func VectorAdd(cfg Config, bits int) (*Benchmark, error) {
+	return build(cfg, Kernel{Name: "add", Bits: bits}, func(bld *program.Builder, basis synth.Basis) *Benchmark {
+		a, aSlot := bld.WriteVector(bits)
+		b, bSlot := bld.WriteVector(bits)
+		sum := synth.RippleCarryAdd(bld, basis, a, b)
+		sSlot := bld.ReadVector(sum)
+		bld.Free(a...)
+		bld.Free(b...)
+		bld.Free(sum...)
+		lanes := cfg.Lanes
+		return &Benchmark{
+			Name:        "vector-add",
+			Description: fmt.Sprintf("parallel %d-bit addition, %d lanes, %s basis", bits, lanes, basis.Name()),
+			Check: func(data DataFunc, out OutFunc) error {
+				for l := 0; l < lanes; l++ {
+					x := slotWord(data, aSlot, bits, l)
+					y := slotWord(data, bSlot, bits, l)
+					if got := outWord(out, sSlot, bits+1, l); got != x+y {
+						return fmt.Errorf("lane %d: %d+%d read back %d", l, x, y, got)
+					}
 				}
-			}
-			return nil
-		},
-	}, nil
+				return nil
+			},
+		}
+	})
 }
 
-// PaperSuite compiles the paper's three benchmarks at their §4 parameters
-// under the given array configuration: 32-bit parallel multiplication,
-// convolution (4 lanes × 3 mults, 8-bit), and a dot-product sized to the
-// lane count (1024 elements at the default configuration) of 32-bit
-// operands.
+// PaperSuite compiles the paper's three kernels through the catalogue at
+// their §4 parameters under the given array configuration, in the order
+// of its heatmap figures (Figs. 14, 15, 16): 32-bit parallel
+// multiplication, convolution (4 lanes × 3 mults, 8-bit), and a
+// dot-product of 32-bit operands over the largest power of two ≤ the
+// lane count (1024 elements at the default configuration).
 func PaperSuite(cfg Config) ([]*Benchmark, error) {
-	mult, err := ParallelMult(cfg, 32)
-	if err != nil {
-		return nil, err
+	var out []*Benchmark
+	for _, k := range []Kernel{{Name: "mult"}, {Name: "conv"}, {Name: "dot"}} {
+		b, err := Compile(cfg, k)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, b)
 	}
-	conv, err := Convolution(cfg, DefaultConv())
-	if err != nil {
-		return nil, err
-	}
-	n := 1
-	for n*2 <= cfg.Lanes {
-		n *= 2
-	}
-	dot, err := DotProduct(cfg, n, 32)
-	if err != nil {
-		return nil, err
-	}
-	return []*Benchmark{mult, conv, dot}, nil
+	return out, nil
 }

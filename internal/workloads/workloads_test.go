@@ -130,7 +130,7 @@ func TestConvolutionTwoLaneGroups(t *testing.T) {
 
 func TestConvolutionRejectsBadShapes(t *testing.T) {
 	cfg := smallCfg(15, 512)
-	if _, err := workloads.Convolution(cfg, workloads.DefaultConv()); err == nil {
+	if _, err := workloads.Convolution(cfg, workloads.ConvConfig{GroupLanes: 4, MultsPerLane: 3, Bits: 8}); err == nil {
 		t.Error("lanes not divisible by group accepted")
 	}
 	cfg = smallCfg(16, 512)

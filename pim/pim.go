@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 
 	"pimendure/internal/array"
 	"pimendure/internal/baseline"
@@ -185,10 +186,34 @@ func NewBNNLayer(opt Options, synapses int) (*Benchmark, error) {
 	return workloads.BNNLayer(opt.workloadConfig(), synapses)
 }
 
+// KernelSpec names a kernel of the catalogue and its parameters; a zero
+// parameter takes the paper's default. Normalize resolves the name and
+// fills the defaults for a lane count; Check validates a normalized spec
+// without compiling it.
+type KernelSpec = workloads.Kernel
+
+// NewKernel compiles a catalogue kernel: the one name→kernel path behind
+// every CLI, the job server and PaperBenchmarks.
+func NewKernel(opt Options, k KernelSpec) (*Benchmark, error) {
+	return workloads.Compile(opt.workloadConfig(), k)
+}
+
 // PaperBenchmarks compiles the paper's three kernels at their §4
-// parameters.
+// parameters, in figure order: multiplication (Fig. 14), convolution
+// (Fig. 15) and dot-product (Fig. 16).
 func PaperBenchmarks(opt Options) ([]*Benchmark, error) {
 	return workloads.PaperSuite(opt.workloadConfig())
+}
+
+// TechnologyNamed returns the device model of the given name ("MRAM",
+// "RRAM", "PCM", "MRAM-projected"), matched case-insensitively.
+func TechnologyNamed(name string) (Technology, error) {
+	for _, t := range Technologies() {
+		if strings.EqualFold(t.Name, name) {
+			return t, nil
+		}
+	}
+	return Technology{}, fmt.Errorf("unknown technology %q (MRAM, RRAM, PCM, MRAM-projected)", name)
 }
 
 // RunConfig controls an endurance simulation.
