@@ -7,7 +7,7 @@ GO ?= go
 
 # Packages whose exported symbols must all carry doc comments (public
 # API + instrumented engine layers). Enforced by `make doclint`.
-DOC_PKGS = ./pim ./pim/kernel ./internal/obs ./internal/core ./internal/pool ./internal/serve ./internal/system ./internal/device ./internal/fleet
+DOC_PKGS = ./pim ./pim/kernel ./internal/obs ./internal/core ./internal/pool ./internal/serve ./internal/system ./internal/device ./internal/fleet ./internal/cliflag
 
 .PHONY: all build gofmt vet test fuzz race race-obs race-core race-serve race-system race-fleet bench bench-alloc bench-json bench-current benchdiff report ci doclint promlint
 
@@ -65,13 +65,14 @@ race-fleet:
 	$(GO) test -race ./internal/fleet/... ./pim/...
 
 # Fuzz smoke: run each fuzz target on the untrusted-input decoders — the
-# assembly parser, the distribution file reader and the job server's
-# admission path — for FUZZTIME each. A crasher lands in the package's
+# assembly parser, the distribution file reader, the strategy-label
+# parser and the job server's admission path — for FUZZTIME each. A crasher lands in the package's
 # testdata/fuzz/ and then replays as a regression case in `make test`.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/asm
 	$(GO) test -run '^$$' -fuzz '^FuzzReadDist$$' -fuzztime $(FUZZTIME) ./internal/traceio
+	$(GO) test -run '^$$' -fuzz '^FuzzStrategyNamed$$' -fuzztime $(FUZZTIME) ./pim
 	$(GO) test -run '^$$' -fuzz '^FuzzRequest$$' -fuzztime $(FUZZTIME) ./internal/serve
 
 # Doc-lint: fail on undocumented exported symbols (revive `exported`

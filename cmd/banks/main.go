@@ -25,7 +25,7 @@ import (
 	"path/filepath"
 	"strings"
 
-	"pimendure/internal/mapping"
+	"pimendure/internal/cliflag"
 	"pimendure/internal/obs"
 	"pimendure/internal/report"
 	"pimendure/pim"
@@ -36,46 +36,34 @@ func main() {
 	log.SetPrefix("banks: ")
 
 	run := obs.NewRun("banks", flag.CommandLine)
-	benchName := flag.String("bench", "mult", "benchmark: mult, dot, conv, add, bnn")
-	bits := flag.Int("bits", 0, "operand precision (0 = the kernel's paper precision: 32, or 8 for conv)")
-	lanes := flag.Int("lanes", 1024, "array lanes per bank")
-	rows := flag.Int("rows", 1024, "array rows per bank")
-	within := flag.String("within", "Ra", "within-lane strategy: St, Ra, Bs")
-	between := flag.String("between", "St", "between-lane strategy: St, Ra, Bs")
-	hw := flag.Bool("hw", false, "enable hardware free-bit renaming")
-	iters := flag.Int("iters", 20000, "total benchmark iterations striped across the banks")
-	recompile := flag.Int("recompile", 100, "per-bank software re-mapping period")
+	f := cliflag.Flags{Bench: "mult", Lanes: 1024, Rows: 1024, Within: "Ra", Between: "St",
+		Iters: 20000, Recompile: 100, Seed: 1, Tech: "MRAM"}
+	f.Register(flag.CommandLine, "bench", "bits", "lanes", "rows", "within", "between", "hw",
+		"iters", "recompile", "sample", "seed", "tech")
+	flag.Lookup("iters").Usage = "total benchmark iterations striped across the banks"
+	flag.Lookup("seed").Usage = "random seed (bank b simulates with seed+b; also seeds the endurance draw)"
 	block := flag.Int("block", 0, "scheduling block in iterations (0 = one recompile epoch; must be a multiple of -recompile)")
 	pressure := flag.Int("pressure", 0, "locality-aware per-group iterations before spilling to the next bank group (0 = fair share)")
 	sigma := flag.Float64("sigma", 0, "lognormal bank-to-bank endurance variation (0 = identical banks; drawn from -seed)")
 	orgName := flag.String("org", "ddr4", "organization preset: single, ddr4, hbm3")
 	banks := flag.Int("banks", 0, "override the total bank count (scales the preset's hierarchy; 0 = preset size)")
 	policy := flag.String("policy", "all", "scheduling policy: round-robin, wear-aware, locality-aware, all")
-	sample := flag.Int("sample", 0, "record per-bank wear telemetry every N recompile epochs (0 disables)")
-	seed := flag.Int64("seed", 1, "random seed (bank b simulates with seed+b; also seeds the endurance draw)")
-	tech := flag.String("tech", "MRAM", "technology: MRAM, RRAM, PCM, MRAM-projected")
 	outDir := flag.String("out", "out", "artifact + manifest directory")
 	flag.Parse()
 	if err := run.Start(); err != nil {
 		log.Fatal(err)
 	}
 
-	opt := pim.Options{Lanes: *lanes, Rows: *rows, PresetOutputs: true, NANDBasis: true}
-	bench, err := pim.NewKernel(opt, pim.KernelSpec{Name: *benchName, Bits: *bits})
+	opt := f.Options()
+	bench, err := pim.NewKernel(opt, f.Kernel())
 	if err != nil {
 		log.Fatal(err)
 	}
-	w, err := mapping.ParseStrategy(*within)
+	strat, err := f.Strategy()
 	if err != nil {
 		log.Fatal(err)
 	}
-	btw, err := mapping.ParseStrategy(*between)
-	if err != nil {
-		log.Fatal(err)
-	}
-	strat := pim.Strategy{Within: w, Between: btw, Hw: *hw}
-
-	technology, err := pim.TechnologyNamed(*tech)
+	technology, err := pim.TechnologyNamed(f.Tech)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,10 +78,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	rc := pim.RunConfig{
-		Iterations: *iters, RecompileEvery: *recompile,
-		Seed: *seed, SampleEvery: *sample,
-	}
+	rc := f.RunConfig()
 	cfg := pim.BankConfig{
 		Org: org, BlockIters: *block, PressureIters: *pressure, Sigma: *sigma,
 	}
@@ -111,7 +96,7 @@ func main() {
 	}
 
 	fmt.Printf("benchmark:    %s\n", bench.Description)
-	fmt.Printf("strategy:     %s   iterations: %d (recompile every %d)\n", strat.Name(), *iters, *recompile)
+	fmt.Printf("strategy:     %s   iterations: %d (recompile every %d)\n", strat.Name(), f.Iters, f.Recompile)
 	fmt.Printf("organization: %s\n", org)
 
 	// Lifetime-scaling curve: single bank up to the full organization,
@@ -187,13 +172,7 @@ func main() {
 	writeJSON(filepath.Join(*outDir, "banks_scaling.json"), curve)
 	writeJSON(filepath.Join(*outDir, "banks_policy.json"), bankRows)
 
-	if err := run.Finish(*outDir, map[string]any{
-		"bench": *benchName, "bits": *bits, "lanes": *lanes, "rows": *rows,
-		"within": *within, "between": *between, "hw": *hw,
-		"iters": *iters, "recompile": *recompile, "block": *block,
-		"pressure": *pressure, "sigma": *sigma, "org": org.String(),
-		"banks": org.TotalBanks(), "policy": *policy, "sample": *sample, "tech": *tech,
-	}, *seed, os.Stdout); err != nil {
+	if err := run.Finish(*outDir, f.Seed, os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -55,11 +55,11 @@ func runE1(cfg config) error {
 // break-down under perfect balancing.
 func runE2(cfg config) error {
 	t := report.NewTable(
-		fmt.Sprintf("E2 — perfectly-balanced upper bounds, %d×%d array (Eqs. 1 and 2)", cfg.rows, cfg.lanes),
+		fmt.Sprintf("E2 — perfectly-balanced upper bounds, %d×%d array (Eqs. 1 and 2)", cfg.Rows, cfg.Lanes),
 		"technology", "endurance", "Eq.1 32-bit mults", "Eq.2 seconds", "Eq.2 days")
 	for _, tech := range device.Technologies() {
-		ops := lifetime.UpperBoundOps(cfg.rows, cfg.lanes, tech.Endurance, 9824)
-		secs := lifetime.UpperBoundSeconds(cfg.rows, cfg.lanes, tech.Endurance, tech.SwitchSeconds)
+		ops := lifetime.UpperBoundOps(cfg.Rows, cfg.Lanes, tech.Endurance, 9824)
+		secs := lifetime.UpperBoundSeconds(cfg.Rows, cfg.Lanes, tech.Endurance, tech.SwitchSeconds)
 		t.AddRow(tech.Name, report.Sci(tech.Endurance), report.Sci(ops),
 			report.Sci(secs), report.Fixed(secs/lifetime.SecondsPerDay, 2))
 	}
@@ -72,7 +72,7 @@ func runFig5(cfg config) error {
 	profiles := map[program.AllocPolicy]struct{ w, r []int64 }{}
 	var maxLen int
 	for _, pol := range []program.AllocPolicy{program.NextFit, program.LowestFirst} {
-		wcfg := workloads.Config{Lanes: 1, Rows: cfg.rows, Basis: synth.NAND, Alloc: pol}
+		wcfg := workloads.Config{Lanes: 1, Rows: cfg.Rows, Basis: synth.NAND, Alloc: pol}
 		bench, err := workloads.ParallelMult(wcfg, 32)
 		if err != nil {
 			return err
@@ -142,7 +142,7 @@ func runFig11(cfg config) error {
 		if rows > 256 {
 			rows = 256
 		}
-		pts, err := faults.UsableCurve(rows, n, fracs, cfg.trials, cfg.seed+int64(i))
+		pts, err := faults.UsableCurve(rows, n, fracs, cfg.trials, cfg.Seed+int64(i))
 		if err != nil {
 			return err
 		}
@@ -170,7 +170,7 @@ func runLaneSets(cfg config) error {
 	const rows, lanes = 256, 256
 	for _, failed := range []int{64, 256, 1024} {
 		for _, sets := range []int{1, 2, 4, 8} {
-			res, err := faults.LaneSets(rows, lanes, sets, failed, cfg.trials, cfg.seed)
+			res, err := faults.LaneSets(rows, lanes, sets, failed, cfg.trials, cfg.Seed)
 			if err != nil {
 				return err
 			}

@@ -14,7 +14,7 @@ import (
 // contrasts the in-memory multiply with the conventional data-movement
 // reference (§1's energy-efficiency motivation, made quantitative).
 func runEnergy(cfg config) error {
-	opt := pimOptions(cfg)
+	opt := cfg.Options()
 	benches, err := pim.PaperBenchmarks(opt)
 	if err != nil {
 		return err
@@ -37,7 +37,7 @@ func runEnergy(cfg config) error {
 		"path", "energy (J)", "vs conventional")
 	conv := energy.DefaultConv().MultiplyJ(32)
 	cmp.AddRow("conventional (move 128 bits + core op)", report.Sci(conv), "1.00×")
-	opt1 := pimOptions(cfg)
+	opt1 := cfg.Options()
 	opt1.Lanes = 1
 	mult1, err := pim.NewParallelMult(opt1, 32)
 	if err != nil {
@@ -59,7 +59,7 @@ func runEnergy(cfg config) error {
 // runVariability quantifies the §4 uniform-endurance caveat: first-failure
 // iterations under lognormal per-cell endurance, against the Eq. 4 value.
 func runVariability(cfg config) error {
-	opt := pimOptions(cfg)
+	opt := cfg.Options()
 	// A reduced array keeps the Monte Carlo (trials × written cells)
 	// tractable while preserving the distribution's shape.
 	opt.Lanes = 128
@@ -67,7 +67,7 @@ func runVariability(cfg config) error {
 	if err != nil {
 		return err
 	}
-	rc := pim.RunConfig{Iterations: 2000, RecompileEvery: cfg.recompile, Seed: cfg.seed, Workers: cfg.workers}
+	rc := pim.RunConfig{Iterations: 2000, RecompileEvery: cfg.Recompile, Seed: cfg.Seed, Workers: cfg.Workers}
 	t := report.NewTable("E18 — first failure under lognormal endurance variability (32-bit multiply, MRAM median 10¹²)",
 		"strategy", "sigma", "Eq.4 iterations", "MC mean", "MC p5", "MC p95")
 	for _, s := range []pim.Strategy{pim.StaticStrategy, {Within: pim.Random, Between: pim.Random}} {
@@ -76,7 +76,7 @@ func runVariability(cfg config) error {
 			return err
 		}
 		for _, sigma := range []float64{0.25, 0.5, 1.0} {
-			vr, err := pim.LifetimeUnderVariability(res, pim.MRAM(), sigma, 60, cfg.seed)
+			vr, err := pim.LifetimeUnderVariability(res, pim.MRAM(), sigma, 60, cfg.Seed)
 			if err != nil {
 				return err
 			}
@@ -91,12 +91,12 @@ func runVariability(cfg config) error {
 // scenario): when must a many-array chip be replaced, with and without
 // spare arrays, at server (100%) and embedded (1%) duty cycles.
 func runChip(cfg config) error {
-	opt := pimOptions(cfg)
+	opt := cfg.Options()
 	bench, err := pim.NewParallelMult(opt, 32)
 	if err != nil {
 		return err
 	}
-	rc := pim.RunConfig{Iterations: cfg.iters, RecompileEvery: cfg.recompile, Seed: cfg.seed, Workers: cfg.workers}
+	rc := pim.RunConfig{Iterations: cfg.Iters, RecompileEvery: cfg.Recompile, Seed: cfg.Seed, Workers: cfg.Workers}
 	res, err := pim.Run(bench, opt, rc,
 		pim.Strategy{Within: pim.Random, Between: pim.Random, Hw: true}, pim.MRAM())
 	if err != nil {
@@ -108,7 +108,7 @@ func runChip(cfg config) error {
 	for _, spare := range []float64{0, 0.1} {
 		for _, duty := range []float64{1.0, 0.01} {
 			sc := system.Config{Arrays: 1024, SpareFraction: spare, DutyCycle: duty, Sigma: 0.3}
-			est, err := system.ChipLifetime(res.Lifetime.Seconds, sc, 400, cfg.seed)
+			est, err := system.ChipLifetime(res.Lifetime.Seconds, sc, 400, cfg.Seed)
 			if err != nil {
 				return err
 			}

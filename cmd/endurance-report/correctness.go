@@ -38,7 +38,8 @@ func runE12(cfg config) error {
 	// Functional verification of the PIM-aware strategies on a reduced
 	// array: one full iteration per benchmark per strategy class on the
 	// bit-accurate simulator.
-	opt := pim.Options{Lanes: 16, Rows: cfg.rows, PresetOutputs: true, NANDBasis: true}
+	opt := cfg.Options()
+	opt.Lanes = 16
 	data := func(slot, lane int) bool { return (slot*31+lane*17)%7 < 3 }
 	mult, err := pim.NewParallelMult(opt, 32)
 	if err != nil {

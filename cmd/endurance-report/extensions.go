@@ -18,12 +18,12 @@ import (
 // Balancing trades a later first failure for a sharper collapse — every
 // cell dies at nearly the same time.
 func runFailureTimeline(cfg config) error {
-	opt := pimOptions(cfg)
+	opt := cfg.Options()
 	bench, err := pim.NewParallelMult(opt, 32)
 	if err != nil {
 		return err
 	}
-	rc := pim.RunConfig{Iterations: cfg.iters, RecompileEvery: cfg.recompile, Seed: cfg.seed, Workers: cfg.workers}
+	rc := pim.RunConfig{Iterations: cfg.Iters, RecompileEvery: cfg.Recompile, Seed: cfg.Seed, Workers: cfg.Workers}
 	static, err := pim.Run(bench, opt, rc, pim.StaticStrategy, pim.MRAM())
 	if err != nil {
 		return err
@@ -62,7 +62,7 @@ func runAccessCost(cfg config) error {
 	t := report.NewTable("E16 — Fig. 8: byte-access cost of a 32-bit operand after within-lane re-mapping",
 		"strategy", "bytes touched (min/avg/max over 100 epochs)", "epochs with bit order preserved")
 	for _, s := range mapping.Strategies() {
-		sched := mapping.Schedule{Rows: cfg.rows, Lanes: cfg.lanes, Within: s, Between: mapping.Static, Seed: cfg.seed}
+		sched := mapping.Schedule{Rows: cfg.Rows, Lanes: cfg.Lanes, Within: s, Between: mapping.Static, Seed: cfg.Seed}
 		minB, maxB, sum, orderedN := math.MaxInt32, 0, 0, 0
 		for epoch := 1; epoch <= 100; epoch++ {
 			bytes, ordered := mapping.ByteAccessCost(sched.EpochWithin(epoch), operand)

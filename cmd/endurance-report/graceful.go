@@ -17,18 +17,18 @@ func runGraceful(cfg config) error {
 	t := report.NewTable("E20 — remap-on-failure lifetime (32-bit multiply, StxSt, MRAM)",
 		"allocator", "rows used", "spare rows", "first failure (iters)", "unusable (iters)", "extension", "remaps")
 	for _, lowest := range []bool{false, true} {
-		opt := pimOptions(cfg)
+		opt := cfg.Options()
 		opt.LowestFirstAlloc = lowest
 		bench, err := pim.NewParallelMult(opt, 32)
 		if err != nil {
 			return err
 		}
-		iters := cfg.iters
+		iters := cfg.Iters
 		if iters > 5000 {
 			iters = 5000 // the rate vector converges quickly under StxSt
 		}
 		res, err := pim.Run(bench, opt,
-			pim.RunConfig{Iterations: iters, RecompileEvery: cfg.recompile, Seed: cfg.seed, Workers: cfg.workers},
+			pim.RunConfig{Iterations: iters, RecompileEvery: cfg.Recompile, Seed: cfg.Seed, Workers: cfg.Workers},
 			pim.StaticStrategy, pim.MRAM())
 		if err != nil {
 			return err
@@ -44,7 +44,7 @@ func runGraceful(cfg config) error {
 			}
 			rates[r] = float64(maxC) / float64(iters)
 		}
-		gr, err := faults.GracefulLifetime(rates, cfg.rows, pim.MRAM().Endurance)
+		gr, err := faults.GracefulLifetime(rates, cfg.Rows, pim.MRAM().Endurance)
 		if err != nil {
 			return err
 		}
@@ -54,7 +54,7 @@ func runGraceful(cfg config) error {
 		}
 		t.AddRow(name,
 			report.Fixed(float64(bench.Trace.LaneBits), 0),
-			report.Fixed(float64(cfg.rows-bench.Trace.LaneBits), 0),
+			report.Fixed(float64(cfg.Rows-bench.Trace.LaneBits), 0),
 			report.Sci(gr.FirstFailureIters),
 			report.Sci(gr.UnusableIters),
 			report.Times(gr.ExtensionFactor()),

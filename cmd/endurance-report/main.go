@@ -35,44 +35,33 @@ import (
 	"path/filepath"
 	"time"
 
+	"pimendure/internal/cliflag"
 	"pimendure/internal/obs"
 )
 
 type config struct {
+	cliflag.Flags
 	out       string
-	lanes     int
-	rows      int
-	iters     int
-	recompile int
-	seed      int64
 	trials    int
 	heatDim   int
 	heatScale int
-	workers   int
-	sample    int
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("endurance-report: ")
 
-	var cfg config
+	cfg := config{Flags: cliflag.Flags{Lanes: 1024, Rows: 1024, Iters: 100000, Recompile: 100, Seed: 1}}
 	run := obs.NewRun("endurance-report", flag.CommandLine)
 	quick := flag.Bool("quick", false, "low-fidelity pass (2 000 iterations, 100 Monte Carlo trials)")
 	flag.StringVar(&cfg.out, "out", "out", "output directory")
-	flag.IntVar(&cfg.lanes, "lanes", 1024, "array lanes (columns)")
-	flag.IntVar(&cfg.rows, "rows", 1024, "array rows (bit addresses per lane)")
-	flag.IntVar(&cfg.iters, "iters", 100000, "benchmark iterations per configuration")
-	flag.IntVar(&cfg.recompile, "recompile", 100, "software re-mapping period in iterations")
-	flag.Int64Var(&cfg.seed, "seed", 1, "random-shuffle seed")
+	cfg.Register(flag.CommandLine, "lanes", "rows", "iters", "recompile", "seed", "workers", "sample")
 	flag.IntVar(&cfg.trials, "trials", 1000, "Monte Carlo trials for fault experiments")
 	flag.IntVar(&cfg.heatDim, "heatdim", 128, "heatmap resolution cap per axis")
 	flag.IntVar(&cfg.heatScale, "heatscale", 4, "heatmap PNG pixels per cell")
-	flag.IntVar(&cfg.workers, "workers", 0, "worker goroutines for sweeps and the +Hw engine (0 = GOMAXPROCS); results are identical for any value")
-	flag.IntVar(&cfg.sample, "sample", 0, "record wear telemetry every N recompile epochs during the sweeps (0 disables; series exported on exit, live at -serve /series and /wear.png)")
 	flag.Parse()
 	if *quick {
-		cfg.iters = 2000
+		cfg.Iters = 2000
 		cfg.trials = 100
 	}
 	if err := run.Start(); err != nil {
@@ -116,13 +105,7 @@ func main() {
 	}
 	report.End()
 	log.Printf("done in %s, results in %s/", time.Since(start).Round(time.Millisecond), cfg.out)
-	if err := run.Finish(cfg.out, map[string]any{
-		"out": cfg.out, "lanes": cfg.lanes, "rows": cfg.rows,
-		"iters": cfg.iters, "recompile": cfg.recompile, "trials": cfg.trials,
-		"heatdim": cfg.heatDim, "heatscale": cfg.heatScale, "workers": cfg.workers,
-		"sample": cfg.sample,
-		"quick":  *quick,
-	}, cfg.seed, os.Stdout); err != nil {
+	if err := run.Finish(cfg.out, cfg.Seed, os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -15,22 +15,17 @@ import (
 // convolution, dot-product) by their heatmap figures.
 var paperFigs = []string{"fig14", "fig15", "fig16"}
 
-func pimOptions(cfg config) pim.Options {
-	return pim.Options{Lanes: cfg.lanes, Rows: cfg.rows, PresetOutputs: true, NANDBasis: true}
-}
-
 // runSweeps produces the heart of the evaluation: per benchmark, the 18
 // write-distribution heatmaps (Figs. 14–16), the lifetime-improvement
 // ranking (Fig. 17), Table 3's utilization/improvement summary, and the
 // E14 technology sweep.
 func runSweeps(cfg config) error {
-	opt := pimOptions(cfg)
+	opt := cfg.Options()
 	benches, err := pim.PaperBenchmarks(opt)
 	if err != nil {
 		return err
 	}
-	rc := pim.RunConfig{Iterations: cfg.iters, RecompileEvery: cfg.recompile, Seed: cfg.seed,
-		Workers: cfg.workers, SampleEvery: cfg.sample}
+	rc := cfg.RunConfig()
 
 	table3 := report.NewTable("Table 3 — lane utilization and best lifetime improvement",
 		"benchmark", "avg lane utilization", "lifetime improvement", "best config",
@@ -52,7 +47,7 @@ func runSweeps(cfg config) error {
 		// Heatmaps + per-config distribution statistics.
 		summary := report.NewTable(
 			fmt.Sprintf("%s — %s write distribution statistics (%d iterations, recompile every %d)",
-				fig, b.Name, cfg.iters, cfg.recompile),
+				fig, b.Name, cfg.Iters, cfg.Recompile),
 			"config", "max/iter", "max/mean", "CoV", "Gini")
 		var giniWork []float64
 		for _, r := range results {
@@ -138,7 +133,7 @@ func runSweeps(cfg config) error {
 // Ra×Ra lifetime improvement as the recompile period varies from every
 // 10 000 iterations down to every 10, showing saturation around every 50.
 func runRecompileSweep(cfg config) error {
-	opt := pimOptions(cfg)
+	opt := cfg.Options()
 	benches, err := pim.PaperBenchmarks(opt)
 	if err != nil {
 		return err
@@ -150,17 +145,17 @@ func runRecompileSweep(cfg config) error {
 		"benchmark", "recompile every", "improvement over StxSt", "max writes/iter")
 	for _, b := range benches {
 		static, err := pim.Run(b, opt,
-			pim.RunConfig{Iterations: cfg.iters, RecompileEvery: cfg.recompile, Seed: cfg.seed, Workers: cfg.workers},
+			pim.RunConfig{Iterations: cfg.Iters, RecompileEvery: cfg.Recompile, Seed: cfg.Seed, Workers: cfg.Workers},
 			pim.StaticStrategy, pim.MRAM())
 		if err != nil {
 			return err
 		}
 		for _, p := range periods {
-			if p > cfg.iters {
+			if p > cfg.Iters {
 				continue
 			}
 			r, err := pim.Run(b, opt,
-				pim.RunConfig{Iterations: cfg.iters, RecompileEvery: p, Seed: cfg.seed, Workers: cfg.workers}, ra, pim.MRAM())
+				pim.RunConfig{Iterations: cfg.Iters, RecompileEvery: p, Seed: cfg.Seed, Workers: cfg.Workers}, ra, pim.MRAM())
 			if err != nil {
 				return err
 			}

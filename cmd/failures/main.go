@@ -8,6 +8,7 @@ import (
 	"log"
 	"os"
 
+	"pimendure/internal/cliflag"
 	"pimendure/internal/faults"
 	"pimendure/internal/obs"
 	"pimendure/internal/report"
@@ -18,20 +19,19 @@ func main() {
 	log.SetPrefix("failures: ")
 
 	run := obs.NewRun("failures", flag.CommandLine)
-	lanes := flag.Int("lanes", 1024, "array lanes (the dimension a failure poisons)")
-	rows := flag.Int("rows", 256, "array rows for the Monte Carlo")
+	f := cliflag.Flags{Lanes: 1024, Rows: 256, Seed: 1}
+	f.Register(flag.CommandLine, "lanes", "rows", "seed")
 	trials := flag.Int("trials", 500, "Monte Carlo trials")
-	seed := flag.Int64("seed", 1, "random seed")
 	manifestDir := flag.String("out", "out", "directory for the run manifest")
 	flag.Parse()
 	if err := run.Start(); err != nil {
 		log.Fatal(err)
 	}
 
-	t := report.NewTable(fmt.Sprintf("Fig. 11b — usable fraction of each lane, %d-lane array", *lanes),
+	t := report.NewTable(fmt.Sprintf("Fig. 11b — usable fraction of each lane, %d-lane array", f.Lanes),
 		"failed cells (%)", "usable (Monte Carlo)", "usable (closed form)")
 	fracs := []float64{0, 0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05}
-	pts, err := faults.UsableCurve(*rows, *lanes, fracs, *trials, *seed)
+	pts, err := faults.UsableCurve(f.Rows, f.Lanes, fracs, *trials, f.Seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,9 +44,9 @@ func main() {
 
 	ls := report.NewTable("§3.3 — lane-set partitioning (0.5% of cells failed)",
 		"sets", "usable fraction", "latency factor", "effective capacity")
-	failed := *rows * *lanes / 200
+	failed := f.Rows * f.Lanes / 200
 	for _, sets := range []int{1, 2, 4, 8} {
-		res, err := faults.LaneSets(*rows, *lanes, sets, failed, *trials, *seed)
+		res, err := faults.LaneSets(f.Rows, f.Lanes, sets, failed, *trials, f.Seed)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -57,9 +57,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if err := run.Finish(*manifestDir, map[string]any{
-		"lanes": *lanes, "rows": *rows, "trials": *trials,
-	}, *seed, os.Stdout); err != nil {
+	if err := run.Finish(*manifestDir, f.Seed, os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -28,9 +28,9 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
+	"pimendure/internal/cliflag"
 	"pimendure/internal/obs"
 	"pimendure/internal/report"
 	"pimendure/pim"
@@ -42,23 +42,17 @@ func main() {
 
 	run := obs.NewRun("fleet", flag.CommandLine)
 	out := flag.String("out", "out", "output directory")
-	benchmark := flag.String("benchmark", "mult", "kernel: mult, dot, conv, add, bnn")
-	bits := flag.Int("bits", 0, "operand precision (0 = the kernel's paper precision: 32, or 8 for conv)")
-	lanes := flag.Int("lanes", 1024, "array lanes (columns)")
-	rows := flag.Int("rows", 1024, "array rows")
-	iters := flag.Int("iters", 100000, "benchmark iterations per strategy")
-	recompile := flag.Int("recompile", 100, "software re-mapping period in iterations")
-	seed := flag.Int64("seed", 1, "simulation and draw seed")
-	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS); results are identical for any value")
+	f := cliflag.Flags{Bench: "mult", Lanes: 1024, Rows: 1024, Iters: 100000, Recompile: 100, Seed: 1}
+	f.Register(flag.CommandLine, "benchmark", "bits", "lanes", "rows", "iters", "recompile", "seed", "workers")
 	devices := flag.Int("devices", 1_000_000, "fleet population per sweep point")
 	sigmaList := flag.String("sigmas", "0.3", "comma-separated lognormal endurance shapes")
 	quick := flag.Bool("quick", false, "low-fidelity pass (2 000 iterations, 100 000 devices)")
 	flag.Parse()
 	if *quick {
-		*iters = 2000
+		f.Iters = 2000
 		*devices = 100_000
 	}
-	sigmas, err := parseSigmas(*sigmaList)
+	sigmas, err := cliflag.ParseSigmas(*sigmaList)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,17 +63,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	opt := pim.DefaultOptions()
-	opt.Lanes, opt.Rows = *lanes, *rows
-	bench, err := pim.NewKernel(opt, pim.KernelSpec{Name: *benchmark, Bits: *bits})
+	opt := f.Options()
+	bench, err := pim.NewKernel(opt, f.Kernel())
 	if err != nil {
 		log.Fatal(err)
 	}
-	rc := pim.RunConfig{Iterations: *iters, RecompileEvery: *recompile, Seed: *seed, Workers: *workers}
-	fc := pim.FleetConfig{Devices: *devices, Sigmas: sigmas, Seed: *seed}
+	fc := pim.FleetConfig{Devices: *devices, Sigmas: sigmas, Seed: f.Seed}
 
 	start := time.Now()
-	points, err := pim.Fleet(bench, opt, rc, nil, nil, fc)
+	points, err := pim.Fleet(bench, opt, f.RunConfig(), nil, nil, fc)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -106,9 +98,9 @@ func main() {
 	}
 
 	doc := studyDoc{
-		Benchmark: bench.Name, Lanes: *lanes, Rows: *rows,
-		Iterations: *iters, RecompileEvery: *recompile,
-		Devices: *devices, Seed: *seed, Sigmas: sigmas,
+		Benchmark: bench.Name, Lanes: f.Lanes, Rows: f.Rows,
+		Iterations: f.Iters, RecompileEvery: f.Recompile,
+		Devices: *devices, Seed: f.Seed, Sigmas: sigmas,
 		Points: flatten(points), Rankings: rankings,
 	}
 	if err := writeFile(*out, "fleet_survival.json", func(w io.Writer) error {
@@ -119,11 +111,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if err := run.Finish(*out, map[string]any{
-		"benchmark": *benchmark, "bits": *bits, "lanes": *lanes, "rows": *rows,
-		"iters": *iters, "recompile": *recompile, "devices": *devices,
-		"sigmas": *sigmaList, "workers": *workers, "quick": *quick,
-	}, *seed, os.Stdout); err != nil {
+	if err := run.Finish(*out, f.Seed, os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -247,25 +235,6 @@ func pointsTable(benchName string, points []pim.FleetPoint) *report.Table {
 			report.Sci(p.Seconds(p.Quantiles[0])), report.Sci(p.Seconds(p.Quantiles[2])))
 	}
 	return t
-}
-
-func parseSigmas(list string) ([]float64, error) {
-	var out []float64
-	for _, field := range strings.Split(list, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(field, 64)
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("bad sigma %q (want a non-negative float list like \"0.3,0.6\")", field)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty sigma list")
-	}
-	return out, nil
 }
 
 // writeFile creates a file under dir and streams fn to it.

@@ -9,7 +9,7 @@ import (
 	"log"
 	"os"
 
-	"pimendure/internal/mapping"
+	"pimendure/internal/cliflag"
 	"pimendure/internal/obs"
 	"pimendure/pim"
 )
@@ -19,14 +19,9 @@ func main() {
 	log.SetPrefix("heatmap: ")
 
 	run := obs.NewRun("heatmap", flag.CommandLine)
-	benchName := flag.String("bench", "mult", "benchmark at its paper parameters: mult, dot, conv, add, bnn")
-	lanes := flag.Int("lanes", 1024, "array lanes")
-	rows := flag.Int("rows", 1024, "array rows")
-	within := flag.String("within", "St", "within-lane strategy: St, Ra, Bs")
-	between := flag.String("between", "St", "between-lane strategy: St, Ra, Bs")
-	hw := flag.Bool("hw", false, "hardware renaming")
-	iters := flag.Int("iters", 10000, "iterations")
-	recompile := flag.Int("recompile", 100, "software re-mapping period")
+	f := cliflag.Flags{Bench: "mult", Lanes: 1024, Rows: 1024, Within: "St", Between: "St",
+		Iters: 10000, Recompile: 100, Seed: 1}
+	f.Register(flag.CommandLine, "bench", "lanes", "rows", "within", "between", "hw", "iters", "recompile")
 	dim := flag.Int("dim", 128, "heatmap resolution cap")
 	scale := flag.Int("scale", 4, "PNG pixels per cell")
 	pngPath := flag.String("png", "heatmap.png", "PNG output path (empty to skip)")
@@ -38,12 +33,7 @@ func main() {
 		log.Fatal(err)
 	}
 	finish := func() {
-		if err := run.Finish(*manifestDir, map[string]any{
-			"bench": *benchName, "lanes": *lanes, "rows": *rows,
-			"within": *within, "between": *between, "hw": *hw,
-			"iters": *iters, "recompile": *recompile,
-			"dim": *dim, "scale": *scale, "load": *load,
-		}, 1, os.Stdout); err != nil {
+		if err := run.Finish(*manifestDir, f.Seed, os.Stdout); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -67,23 +57,16 @@ func main() {
 		return
 	}
 
-	opt := pim.Options{Lanes: *lanes, Rows: *rows, PresetOutputs: true, NANDBasis: true}
-	bench, err := pim.NewKernel(opt, pim.KernelSpec{Name: *benchName})
+	opt := f.Options()
+	bench, err := pim.NewKernel(opt, f.Kernel())
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	w, err := mapping.ParseStrategy(*within)
+	strat, err := f.Strategy()
 	if err != nil {
 		log.Fatal(err)
 	}
-	b, err := mapping.ParseStrategy(*between)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := pim.Run(bench, opt,
-		pim.RunConfig{Iterations: *iters, RecompileEvery: *recompile, Seed: 1},
-		pim.Strategy{Within: w, Between: b, Hw: *hw}, pim.MRAM())
+	res, err := pim.Run(bench, opt, f.RunConfig(), strat, pim.MRAM())
 	if err != nil {
 		log.Fatal(err)
 	}

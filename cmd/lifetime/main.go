@@ -11,6 +11,7 @@ import (
 	"log"
 	"os"
 
+	"pimendure/internal/cliflag"
 	"pimendure/internal/device"
 	"pimendure/internal/lifetime"
 	"pimendure/internal/obs"
@@ -23,9 +24,9 @@ func main() {
 	log.SetPrefix("lifetime: ")
 
 	run := obs.NewRun("lifetime", flag.CommandLine)
-	rows := flag.Int("rows", 1024, "array rows")
-	lanes := flag.Int("lanes", 1024, "array lanes")
-	bits := flag.Int("bits", 32, "multiply precision for the Eq. 1 write cost")
+	f := cliflag.Flags{Lanes: 1024, Rows: 1024, Bits: 32}
+	f.Register(flag.CommandLine, "rows", "lanes", "bits")
+	flag.Lookup("bits").Usage = "multiply precision for the Eq. 1 write cost"
 	maxWrites := flag.Float64("maxwrites", 0, "Eq. 4: hottest cell's writes per iteration (0 = skip)")
 	steps := flag.Int("steps", 0, "Eq. 4: sequential steps per iteration")
 	manifestDir := flag.String("out", "out", "directory for the run manifest")
@@ -34,15 +35,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	writesPerMult := float64(synth.MultiplierGates(synth.NAND, *bits))
+	writesPerMult := float64(synth.MultiplierGates(synth.NAND, f.Bits))
 	t := report.NewTable(
 		fmt.Sprintf("Perfectly-balanced bounds for a %d×%d array (%d-bit multiply = %.0f writes)",
-			*rows, *lanes, *bits, writesPerMult),
+			f.Rows, f.Lanes, f.Bits, writesPerMult),
 		"technology", "endurance", "Eq.1 total mults", "Eq.2 time to break-down")
 	for _, tech := range device.Technologies() {
-		secs := lifetime.UpperBoundSeconds(*rows, *lanes, tech.Endurance, tech.SwitchSeconds)
+		secs := lifetime.UpperBoundSeconds(f.Rows, f.Lanes, tech.Endurance, tech.SwitchSeconds)
 		t.AddRow(tech.Name, report.Sci(tech.Endurance),
-			report.Sci(lifetime.UpperBoundOps(*rows, *lanes, tech.Endurance, writesPerMult)),
+			report.Sci(lifetime.UpperBoundOps(f.Rows, f.Lanes, tech.Endurance, writesPerMult)),
 			humanTime(secs))
 	}
 	if err := t.WriteMarkdown(os.Stdout); err != nil {
@@ -65,10 +66,7 @@ func main() {
 		}
 	}
 
-	if err := run.Finish(*manifestDir, map[string]any{
-		"rows": *rows, "lanes": *lanes, "bits": *bits,
-		"maxwrites": *maxWrites, "steps": *steps,
-	}, 0, os.Stdout); err != nil {
+	if err := run.Finish(*manifestDir, 0, os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }

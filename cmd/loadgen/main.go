@@ -37,6 +37,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"pimendure/internal/cliflag"
 )
 
 func main() {
@@ -46,12 +48,9 @@ func main() {
 	target := flag.String("target", "http://localhost:8090", "pimserve base URL")
 	requests := flag.Int("requests", 2000, "total requests to send")
 	concurrency := flag.Int("concurrency", 1000, "concurrent in-flight requests")
-	benchmark := flag.String("benchmark", "mult", "benchmark to request")
-	bits := flag.Int("bits", 4, "operand precision")
-	lanes := flag.Int("lanes", 16, "array lanes")
-	rows := flag.Int("rows", 256, "array rows")
+	f := cliflag.Flags{Bench: "mult", Bits: 4, Lanes: 16, Rows: 256, Recompile: 20}
+	f.Register(flag.CommandLine, "benchmark", "bits", "lanes", "rows", "recompile")
 	iterations := flag.Int("iterations", 60, "iterations per job")
-	recompile := flag.Int("recompile", 20, "recompile period")
 	strategies := flag.String("strategies", "StxSt", "comma-separated strategy labels (empty = all 18)")
 	distinct := flag.Int("distinct", 32, "distinct request shapes (seeds); 1 = maximal coalescing")
 	wait := flag.Bool("wait", true, "poll accepted jobs to completion before reporting")
@@ -60,6 +59,13 @@ func main() {
 	sigmas := flag.String("sigmas", "0.3", "comma-separated endurance sigmas (with -fleet)")
 	flag.Parse()
 
+	var sigmaList []float64
+	if *fleet {
+		var err error
+		if sigmaList, err = cliflag.ParseSigmas(*sigmas); err != nil {
+			log.Fatal(err)
+		}
+	}
 	var strats []string
 	if *strategies != "" {
 		strats = strings.Split(*strategies, ",")
@@ -90,12 +96,12 @@ func main() {
 			defer wg.Done()
 			defer func() { <-sem }()
 			body := map[string]any{
-				"benchmark":       *benchmark,
-				"bits":            *bits,
-				"lanes":           *lanes,
-				"rows":            *rows,
+				"benchmark":       f.Bench,
+				"bits":            f.Bits,
+				"lanes":           f.Lanes,
+				"rows":            f.Rows,
 				"iterations":      *iterations,
-				"recompile_every": *recompile,
+				"recompile_every": f.Recompile,
 				"seed":            i % max(*distinct, 1),
 			}
 			if len(strats) > 0 {
@@ -105,15 +111,7 @@ func main() {
 			if *fleet {
 				endpoint = "/fleet"
 				body["devices"] = *devices
-				var sl []float64
-				for _, f := range strings.Split(*sigmas, ",") {
-					if v, err := strconv.ParseFloat(strings.TrimSpace(f), 64); err == nil {
-						sl = append(sl, v)
-					}
-				}
-				if len(sl) > 0 {
-					body["sigmas"] = sl
-				}
+				body["sigmas"] = sigmaList
 			}
 			data, _ := json.Marshal(body)
 			t0 := time.Now()

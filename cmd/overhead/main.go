@@ -55,7 +55,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if err := run.Finish(*manifestDir, map[string]any{"bits": *precisions}, 0, os.Stdout); err != nil {
+	if err := run.Finish(*manifestDir, 0, os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -20,8 +20,8 @@ import (
 
 	"pimendure/internal/array"
 	"pimendure/internal/asm"
+	"pimendure/internal/cliflag"
 	"pimendure/internal/core"
-	"pimendure/internal/mapping"
 	"pimendure/internal/obs"
 	"pimendure/internal/opt"
 	"pimendure/internal/program"
@@ -61,11 +61,11 @@ func main() {
 // finishObs completes a subcommand's observability lifecycle: when the
 // subcommand succeeded it writes the run manifest (and the -metrics
 // table) under out/, like every other CLI.
-func finishObs(run *obs.Run, sub string, err error) error {
+func finishObs(run *obs.Run, err error) error {
 	if err != nil {
 		return err
 	}
-	return run.Finish("out", map[string]any{"subcommand": sub}, 0, os.Stdout)
+	return run.Finish("out", 0, os.Stdout)
 }
 
 func loadTrace(fs *flag.FlagSet) (*program.Trace, error) {
@@ -83,22 +83,22 @@ func loadTrace(fs *flag.FlagSet) (*program.Trace, error) {
 func cmdDump(args []string) error {
 	fs := flag.NewFlagSet("dump", flag.ExitOnError)
 	run := obs.NewRun("pimasm", fs)
-	benchName := fs.String("bench", "mult", "kernel: mult, dot, conv, add, bnn")
-	bits := fs.Int("bits", 8, "operand precision, and the synapse count for bnn (0 = the kernel's paper default)")
-	lanes := fs.Int("lanes", 16, "lanes")
-	rows := fs.Int("rows", 512, "rows")
+	f := cliflag.Flags{Bench: "mult", Bits: 8, Lanes: 16, Rows: 512}
+	f.Register(fs, "bench", "bits", "lanes", "rows")
+	fs.Lookup("bits").Usage = "operand precision, and the synapse count for bnn (0 = the kernel's paper default)"
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if err := run.Start(); err != nil {
 		return err
 	}
-	opt := pim.Options{Lanes: *lanes, Rows: *rows, PresetOutputs: true, NANDBasis: true}
-	bench, err := pim.NewKernel(opt, pim.KernelSpec{Name: *benchName, Bits: *bits, Synapses: *bits})
+	k := f.Kernel()
+	k.Synapses = f.Bits
+	bench, err := pim.NewKernel(f.Options(), k)
 	if err != nil {
 		return err
 	}
-	return finishObs(run, "dump", asm.Print(os.Stdout, bench.Trace))
+	return finishObs(run, asm.Print(os.Stdout, bench.Trace))
 }
 
 func cmdCheck(args []string) error {
@@ -116,7 +116,7 @@ func cmdCheck(args []string) error {
 	}
 	fmt.Printf("ok: %d lanes, %d bit addresses, %d ops, %d masks\n",
 		tr.Lanes, tr.LaneBits, len(tr.Ops), len(tr.Masks))
-	return finishObs(run, "check", nil)
+	return finishObs(run, nil)
 }
 
 func cmdOpt(args []string) error {
@@ -135,7 +135,7 @@ func cmdOpt(args []string) error {
 	opted, st := opt.Optimize(tr, opt.All())
 	log.Printf("removed %d gates, rewrote %d inputs (%d passes)",
 		st.RemovedGates, st.RewrittenInputs, st.Passes)
-	return finishObs(run, "opt", asm.Print(os.Stdout, opted))
+	return finishObs(run, asm.Print(os.Stdout, opted))
 }
 
 func cmdStats(args []string) error {
@@ -161,7 +161,7 @@ func cmdStats(args []string) error {
 	fmt.Printf("cell writes:      %d\n", st.CellWrites)
 	fmt.Printf("cell reads:       %d\n", st.CellReads)
 	fmt.Printf("lane utilization: %.2f%%\n", st.Utilization*100)
-	return finishObs(run, "stats", nil)
+	return finishObs(run, nil)
 }
 
 func cmdRun(args []string) error {
@@ -205,17 +205,15 @@ func cmdRun(args []string) error {
 		}
 		fmt.Println()
 	}
-	return finishObs(run, "run", nil)
+	return finishObs(run, nil)
 }
 
 func cmdWear(args []string) error {
 	fs := flag.NewFlagSet("wear", flag.ExitOnError)
 	run := obs.NewRun("pimasm", fs)
 	rows := fs.Int("rows", 0, "physical rows (0 = trace footprint + 1)")
-	iters := fs.Int("iters", 1000, "iterations")
-	within := fs.String("within", "St", "within-lane strategy")
-	between := fs.String("between", "St", "between-lane strategy")
-	hw := fs.Bool("hw", false, "hardware renaming")
+	f := cliflag.Flags{Iters: 1000, Recompile: 100, Seed: 1, Within: "St", Between: "St"}
+	f.Register(fs, "iters", "within", "between", "hw")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -230,12 +228,12 @@ func cmdWear(args []string) error {
 	if r == 0 {
 		r = tr.LaneBits + 1
 	}
-	strat, err := parseStrategy(*within, *between, *hw)
+	strat, err := f.Strategy()
 	if err != nil {
 		return err
 	}
 	dist, err := core.Simulate(tr, core.SimConfig{
-		Rows: r, PresetOutputs: true, Iterations: *iters, RecompileEvery: 100, Seed: 1,
+		Rows: r, PresetOutputs: true, Iterations: f.Iters, RecompileEvery: f.Recompile, Seed: f.Seed,
 	}, strat)
 	if err != nil {
 		return err
@@ -249,18 +247,5 @@ func cmdWear(args []string) error {
 	fmt.Printf("max writes/iter: %.3f\n", maxPerIter)
 	fmt.Printf("max/mean:        %.3f\n", sum.MaxOverMean())
 	fmt.Printf("Gini:            %.3f\n", stats.Gini(dist.Counts))
-	return finishObs(run, "wear", nil)
-}
-
-func parseStrategy(within, between string, hw bool) (core.StrategyConfig, error) {
-	var s core.StrategyConfig
-	var err error
-	if s.Within, err = mapping.ParseStrategy(within); err != nil {
-		return s, err
-	}
-	if s.Between, err = mapping.ParseStrategy(between); err != nil {
-		return s, err
-	}
-	s.Hw = hw
-	return s, nil
+	return finishObs(run, nil)
 }

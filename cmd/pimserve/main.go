@@ -76,12 +76,7 @@ func main() {
 	srv.Close()
 	srv.Unmount(obs.Handle)
 
-	config := map[string]any{
-		"workers": *workers, "queue": *queue, "cache": *cacheSize,
-		"max_lanes": *maxLanes, "max_rows": *maxRows, "max_iterations": *maxIters,
-		"max_devices": *maxDevices,
-	}
-	if err := run.Finish(*manifestDir, config, 0, os.Stdout); err != nil {
+	if err := run.Finish(*manifestDir, 0, os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }

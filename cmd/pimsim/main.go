@@ -18,7 +18,7 @@ import (
 	"log"
 	"os"
 
-	"pimendure/internal/mapping"
+	"pimendure/internal/cliflag"
 	"pimendure/internal/obs"
 	"pimendure/internal/stats"
 	"pimendure/pim"
@@ -29,18 +29,10 @@ func main() {
 	log.SetPrefix("pimsim: ")
 
 	run := obs.NewRun("pimsim", flag.CommandLine)
-	benchName := flag.String("bench", "mult", "benchmark: mult, dot, conv, add, bnn")
-	bits := flag.Int("bits", 0, "operand precision (0 = the kernel's paper precision: 32, or 8 for conv)")
-	lanes := flag.Int("lanes", 1024, "array lanes")
-	rows := flag.Int("rows", 1024, "array rows")
-	within := flag.String("within", "St", "within-lane strategy: St, Ra, Bs")
-	between := flag.String("between", "St", "between-lane strategy: St, Ra, Bs")
-	hw := flag.Bool("hw", false, "enable hardware free-bit renaming")
-	iters := flag.Int("iters", 10000, "benchmark iterations")
-	recompile := flag.Int("recompile", 100, "software re-mapping period")
-	sample := flag.Int("sample", 0, "record wear telemetry every N recompile epochs (0 disables; series exported on exit, live at -serve /series and /wear.png)")
-	seed := flag.Int64("seed", 1, "random seed")
-	tech := flag.String("tech", "MRAM", "technology: MRAM, RRAM, PCM, MRAM-projected")
+	f := cliflag.Flags{Bench: "mult", Lanes: 1024, Rows: 1024, Within: "St", Between: "St",
+		Iters: 10000, Recompile: 100, Seed: 1, Tech: "MRAM"}
+	f.Register(flag.CommandLine, "bench", "bits", "lanes", "rows", "within", "between", "hw",
+		"iters", "recompile", "sample", "seed", "tech")
 	pngPath := flag.String("png", "", "write distribution heatmap PNG to this path")
 	distPath := flag.String("dumpdist", "", "save the raw write distribution (JSON) to this path")
 	verify := flag.Bool("verify", false, "also run one bit-accurate iteration and check results")
@@ -50,36 +42,28 @@ func main() {
 		log.Fatal(err)
 	}
 
-	opt := pim.Options{Lanes: *lanes, Rows: *rows, PresetOutputs: true, NANDBasis: true}
-	bench, err := pim.NewKernel(opt, pim.KernelSpec{Name: *benchName, Bits: *bits})
+	opt := f.Options()
+	bench, err := pim.NewKernel(opt, f.Kernel())
 	if err != nil {
 		log.Fatal(err)
 	}
-	w, err := mapping.ParseStrategy(*within)
+	strat, err := f.Strategy()
 	if err != nil {
 		log.Fatal(err)
 	}
-	b, err := mapping.ParseStrategy(*between)
-	if err != nil {
-		log.Fatal(err)
-	}
-	strat := pim.Strategy{Within: w, Between: b, Hw: *hw}
-
-	technology, err := pim.TechnologyNamed(*tech)
+	technology, err := pim.TechnologyNamed(f.Tech)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	res, err := pim.Run(bench, opt,
-		pim.RunConfig{Iterations: *iters, RecompileEvery: *recompile, Seed: *seed, SampleEvery: *sample},
-		strat, technology)
+	res, err := pim.Run(bench, opt, f.RunConfig(), strat, technology)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("benchmark:        %s\n", bench.Description)
 	fmt.Printf("strategy:         %s\n", strat.Name())
-	fmt.Printf("iterations:       %d (recompile every %d)\n", *iters, *recompile)
+	fmt.Printf("iterations:       %d (recompile every %d)\n", f.Iters, f.Recompile)
 	fmt.Printf("lane utilization: %.2f%%\n", res.Utilization*100)
 	fmt.Printf("max writes/iter:  %.3f\n", res.MaxWritesPerIteration)
 	fmt.Printf("max/mean:         %.3f   CoV: %.3f   Gini: %.3f\n",
@@ -127,11 +111,7 @@ func main() {
 		fmt.Println("functional check: exact")
 	}
 
-	if err := run.Finish(*manifestDir, map[string]any{
-		"bench": *benchName, "bits": *bits, "lanes": *lanes, "rows": *rows,
-		"within": *within, "between": *between, "hw": *hw,
-		"iters": *iters, "recompile": *recompile, "sample": *sample, "tech": *tech,
-	}, *seed, os.Stdout); err != nil {
+	if err := run.Finish(*manifestDir, f.Seed, os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }

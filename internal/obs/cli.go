@@ -22,7 +22,7 @@ import (
 //	flag.Parse()
 //	run.Start()
 //	... work ...
-//	run.Finish("out", map[string]any{...}, seed, os.Stdout)
+//	run.Finish("out", seed, os.Stdout)
 type Run struct {
 	// PprofAddr, when non-empty, serves net/http/pprof on that address
 	// for the duration of the run (set by -pprof).
@@ -44,6 +44,7 @@ type Run struct {
 	Events bool
 
 	manifest  *Manifest
+	flags     *flag.FlagSet
 	pprofLn   net.Listener
 	pprofSrv  *http.Server
 	telemetry *telemetryServer
@@ -52,8 +53,9 @@ type Run struct {
 // NewRun creates the lifecycle for the named command and registers the
 // -pprof, -metrics, -serve, -trace and -events flags on fs (pass
 // flag.CommandLine for whole-process CLIs, or a subcommand's FlagSet).
+// Finish records every flag registered on fs as the manifest's config.
 func NewRun(cmd string, fs *flag.FlagSet) *Run {
-	r := &Run{manifest: NewManifest(cmd)}
+	r := &Run{manifest: NewManifest(cmd), flags: fs}
 	fs.StringVar(&r.PprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	fs.BoolVar(&r.Metrics, "metrics", false, "print the observability counter/stage table at exit")
 	fs.StringVar(&r.ServeAddr, "serve", "", "serve live telemetry (/metrics, /healthz, /series, /events, /dashboard, /wear.png) on this address (e.g. localhost:8090)")
@@ -126,11 +128,12 @@ func (r *Run) Close() {
 // manifest, writes manifest_<cmd>.json under outDir, exports the span
 // event ring as trace_<cmd>.json and every registered Series as
 // series_<name>.{csv,json}, prints the counter/stage table when -metrics
-// was given, and shuts the telemetry servers down. config is the CLI's
-// resolved configuration and seed its random seed (0 if none).
-func (r *Run) Finish(outDir string, config map[string]any, seed int64, w io.Writer) error {
+// was given, and shuts the telemetry servers down. The manifest's config
+// is every flag registered on the run's FlagSet at its resolved value;
+// seed is the CLI's random seed (0 if none).
+func (r *Run) Finish(outDir string, seed int64, w io.Writer) error {
 	defer r.Close()
-	r.manifest.Config = config
+	r.manifest.Config = flagConfig(r.flags)
 	r.manifest.Seed = seed
 	r.manifest.Finish()
 	if r.Metrics {
@@ -173,6 +176,20 @@ func (r *Run) Finish(outDir string, config map[string]any, seed int64, w io.Writ
 		}
 	}
 	return nil
+}
+
+// flagConfig maps every flag registered on fs to its current value,
+// typed through flag.Getter (ints and durations marshal as JSON numbers,
+// bools as booleans); a flag without a getter records its String form.
+func flagConfig(fs *flag.FlagSet) map[string]any {
+	config := map[string]any{}
+	fs.VisitAll(func(f *flag.Flag) {
+		config[f.Name] = f.Value.String()
+		if g, ok := f.Value.(flag.Getter); ok {
+			config[f.Name] = g.Get()
+		}
+	})
+	return config
 }
 
 // Manifest exposes the run's manifest (tests inspect it; CLIs normally

@@ -7,7 +7,9 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+	"time"
 
 	"pimendure/internal/obs"
 )
@@ -31,6 +33,54 @@ func TestRunFlagRegistration(t *testing.T) {
 		if f.DefValue != wantDef {
 			t.Errorf("-%s default %q, want %q", name, f.DefValue, wantDef)
 		}
+	}
+}
+
+// Finish records every flag registered on the run's FlagSet — the obs
+// flags and the CLI's own — under its name at its parsed value, typed:
+// numbers (durations in nanoseconds) as JSON numbers, booleans as
+// booleans, and a flag without a getter as its text.
+func TestRunManifestRecordsFlags(t *testing.T) {
+	obs.Reset()
+	defer func() {
+		obs.Disable()
+		obs.Reset()
+	}()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	run := obs.NewRun("flagcfg", fs)
+	fs.Int("iters", 10000, "")
+	fs.Int64("seed", 1, "")
+	fs.Float64("sigma", 0, "")
+	fs.String("tech", "MRAM", "")
+	fs.Bool("hw", false, "")
+	fs.Duration("retry-after", time.Second, "")
+	fs.Func("label", "", func(string) error { return nil })
+	if err := fs.Parse([]string{"-iters", "400", "-hw", "-sigma", "0.25", "-trace=false", "-events=false"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := run.Start(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := run.Finish(dir, 1, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	m, err := obs.ReadManifest(filepath.Join(dir, "manifest_flagcfg.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]any{
+		"iters": 400.0, "seed": 1.0, "sigma": 0.25, "tech": "MRAM", "hw": true,
+		"retry-after": 1e9, "label": "",
+		"pprof": "", "metrics": false, "serve": "", "trace": false, "events": false,
+	}
+	if !reflect.DeepEqual(m.Config, want) {
+		t.Errorf("manifest config = %v, want %v", m.Config, want)
+	}
+	n := 0
+	fs.VisitAll(func(*flag.Flag) { n++ })
+	if len(m.Config) != n {
+		t.Errorf("manifest records %d of %d registered flags", len(m.Config), n)
 	}
 }
 
@@ -62,7 +112,7 @@ func TestRunPprofServer(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("pprof cmdline status %d", resp.StatusCode)
 	}
-	if err := run.Finish(t.TempDir(), nil, 0, io.Discard); err != nil {
+	if err := run.Finish(t.TempDir(), 0, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := http.Get("http://" + addr + "/debug/pprof/cmdline"); err == nil {
@@ -116,7 +166,7 @@ func TestRunFinishArtifacts(t *testing.T) {
 	obs.NewSeries("art.series", "v").Add(1)
 
 	dir := t.TempDir()
-	if err := run.Finish(dir, nil, 0, io.Discard); err != nil {
+	if err := run.Finish(dir, 0, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 
@@ -161,7 +211,7 @@ func TestRunTraceOptOut(t *testing.T) {
 	}
 	obs.StartSpan("notrace.stage").End()
 	dir := t.TempDir()
-	if err := run.Finish(dir, nil, 0, io.Discard); err != nil {
+	if err := run.Finish(dir, 0, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "trace_notrace.json")); !os.IsNotExist(err) {

@@ -58,6 +58,15 @@ func (h *Histogram) observe(v int64) {
 	h.count.Add(1)
 }
 
+// reset zeroes the histogram (Reset).
+func (h *Histogram) reset() {
+	h.count.Store(0)
+	h.sum.Store(0)
+	for i := range h.buckets {
+		h.buckets[i].Store(0)
+	}
+}
+
 // Count returns how many values have been recorded.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 

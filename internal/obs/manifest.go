@@ -22,8 +22,8 @@ type Manifest struct {
 	Command string `json:"command"`
 	// Args is os.Args[1:] as invoked.
 	Args []string `json:"args,omitempty"`
-	// Config is the CLI's resolved configuration (flag values after
-	// defaulting), keyed by flag name.
+	// Config is the CLI's resolved configuration: every registered
+	// flag's value after parsing and defaulting, keyed by flag name.
 	Config map[string]any `json:"config,omitempty"`
 	// Seed is the run's random seed (0 when the command has none).
 	Seed int64 `json:"seed"`

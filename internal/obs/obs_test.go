@@ -276,7 +276,7 @@ func TestRunLifecycle(t *testing.T) {
 
 	dir := t.TempDir()
 	var buf bytes.Buffer
-	if err := run.Finish(dir, map[string]any{"x": 1}, 5, &buf); err != nil {
+	if err := run.Finish(dir, 5, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "test.cli") {

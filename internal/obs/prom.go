@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"time"
 )
 
 // promName sanitizes a registry name into the Prometheus metric-name
@@ -101,7 +100,7 @@ func WritePrometheus(w io.Writer) error {
 		metrics = append(metrics,
 			histFamily(t.Histogram(), name+" span duration (timer histogram)"),
 			scalar(promName(name)+"_max_seconds",
-				name+" longest single span (timer)", "gauge", time.Duration(t.maxNS.Load()).Seconds()))
+				name+" longest single span (timer)", "gauge", t.Max().Seconds()))
 	}
 	for name, h := range registry.histograms {
 		snap := h.Snapshot()

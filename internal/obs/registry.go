@@ -77,7 +77,7 @@ func getTimer(name string) *Timer {
 	t, ok := registry.timers[name]
 	if !ok {
 		claimName(name, "timer")
-		t = &Timer{name: name}
+		t = &Timer{hist: Histogram{name: name, scale: 1e-9}}
 		registry.timers[name] = t
 	}
 	return t
@@ -97,19 +97,11 @@ func Reset() {
 		g.max.Store(0)
 	}
 	for _, t := range registry.timers {
-		t.count.Store(0)
-		t.ns.Store(0)
+		t.hist.reset()
 		t.maxNS.Store(0)
-		for i := range t.buckets {
-			t.buckets[i].Store(0)
-		}
 	}
 	for _, h := range registry.histograms {
-		h.count.Store(0)
-		h.sum.Store(0)
-		for i := range h.buckets {
-			h.buckets[i].Store(0)
-		}
+		h.reset()
 	}
 	resetSeries()
 	resetLog()
@@ -153,12 +145,12 @@ func Capture() Snapshot {
 		}
 	}
 	for name, t := range registry.timers {
-		if n := t.count.Load(); n != 0 {
+		if n := t.Count(); n != 0 {
 			s.Stages = append(s.Stages, Stage{
 				Name:       name,
 				Count:      n,
-				Seconds:    time.Duration(t.ns.Load()).Seconds(),
-				MaxSeconds: time.Duration(t.maxNS.Load()).Seconds(),
+				Seconds:    t.Total().Seconds(),
+				MaxSeconds: t.Max().Seconds(),
 			})
 		}
 	}

@@ -124,7 +124,7 @@ func TestTelemetryServer(t *testing.T) {
 		t.Errorf("/wear.png with unknown name = %d, want 404", code)
 	}
 
-	if err := run.Finish(t.TempDir(), nil, 0, io.Discard); err != nil {
+	if err := run.Finish(t.TempDir(), 0, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
@@ -192,7 +192,7 @@ func TestTelemetryServerGracefulClose(t *testing.T) {
 
 	<-started
 	closed := make(chan error, 1)
-	go func() { closed <- run.Finish(t.TempDir(), nil, 0, io.Discard) }()
+	go func() { closed <- run.Finish(t.TempDir(), 0, io.Discard) }()
 	// Finish is now blocked in Shutdown waiting on /slow; let the
 	// handler complete and require the full body on the client side.
 	release <- struct{}{}

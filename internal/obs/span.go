@@ -1,36 +1,28 @@
 package obs
 
 import (
-	"math/bits"
 	"sync/atomic"
 	"time"
 )
 
-// Timer accumulates completed spans for one stage name: a count, the
-// summed wall time, the longest single span (a max watermark, so a
-// 10-second outlier epoch stays visible inside an hour-long total), and
-// a log-bucketed duration histogram — the same powers-of-two bucket
-// array as Histogram, so stage timings export as full distributions
-// (p50/p99 of an epoch, not just mean and max). Timers are created
-// implicitly by StartSpan and read back through Capture/WriteTable;
-// concurrent spans (pool workers timing the same stage) accumulate
-// atomically.
+// Timer accumulates completed spans for one stage name: a duration
+// Histogram (count, summed wall time and the log-bucketed distribution,
+// so stage timings export as full distributions — p50/p99 of an epoch,
+// not just mean and max) plus the longest single span (a max
+// watermark, so a 10-second outlier epoch stays visible inside an
+// hour-long total). Timers are created implicitly by StartSpan and
+// read back through Capture/WriteTable; concurrent spans (pool workers
+// timing the same stage) accumulate atomically.
 type Timer struct {
-	name    string
-	count   atomic.Int64
-	ns      atomic.Int64
-	maxNS   atomic.Int64
-	buckets [histBuckets]atomic.Int64
+	hist  Histogram
+	maxNS atomic.Int64
 }
 
-// Name returns the stage name the timer accumulates under.
-func (t *Timer) Name() string { return t.name }
-
 // Count returns how many spans have completed on this timer.
-func (t *Timer) Count() int64 { return t.count.Load() }
+func (t *Timer) Count() int64 { return t.hist.Count() }
 
 // Total returns the summed wall time of completed spans.
-func (t *Timer) Total() time.Duration { return time.Duration(t.ns.Load()) }
+func (t *Timer) Total() time.Duration { return time.Duration(t.hist.sum.Load()) }
 
 // Max returns the longest single completed span.
 func (t *Timer) Max() time.Duration { return time.Duration(t.maxNS.Load()) }
@@ -39,18 +31,9 @@ func (t *Timer) Max() time.Duration { return time.Duration(t.maxNS.Load()) }
 // — count, sum, and the non-empty log buckets, under the exposition
 // family name "<name>_seconds".
 func (t *Timer) Histogram() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Name:    t.name + "_seconds",
-		Count:   t.count.Load(),
-		Sum:     time.Duration(t.ns.Load()).Seconds(),
-		seconds: true,
-	}
-	for i := 0; i < histBuckets; i++ {
-		if n := t.buckets[i].Load(); n != 0 {
-			_, hi := bucketBounds(i)
-			s.Buckets = append(s.Buckets, HistogramBucket{LE: hi * 1e-9, Count: n})
-		}
-	}
+	s := t.hist.Snapshot()
+	s.Name += "_seconds"
+	s.Sum = t.Total().Seconds() // the same float as the stage's Capture total
 	return s
 }
 
@@ -90,9 +73,7 @@ func (s Span) End() {
 		return
 	}
 	d := int64(time.Since(s.start))
-	s.t.count.Add(1)
-	s.t.ns.Add(d)
-	s.t.buckets[bits.Len64(uint64(d))].Add(1)
+	s.t.hist.observe(d)
 	for {
 		cur := s.t.maxNS.Load()
 		if d <= cur || s.t.maxNS.CompareAndSwap(cur, d) {
@@ -100,7 +81,7 @@ func (s Span) End() {
 		}
 	}
 	if s.tid != 0 {
-		recordEvent(EventEnd, s.t.name, s.tid)
+		recordEvent(EventEnd, s.t.hist.name, s.tid)
 	}
 }
 
@@ -112,10 +93,10 @@ func (s Span) Child(name string) Span {
 	if s.t == nil {
 		return Span{}
 	}
-	sp := Span{t: getTimer(s.t.name + "/" + name), start: time.Now()}
+	sp := Span{t: getTimer(s.t.hist.name + "/" + name), start: time.Now()}
 	if tid := eventTID(); tid != 0 {
 		sp.tid = tid
-		recordEvent(EventBegin, sp.t.name, tid)
+		recordEvent(EventBegin, sp.t.hist.name, tid)
 	}
 	return sp
 }

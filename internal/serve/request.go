@@ -3,9 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
 
-	"pimendure/internal/mapping"
 	"pimendure/pim"
 )
 
@@ -69,8 +67,10 @@ type Request struct {
 // in with its default — the canonical form behind coalescing
 // fingerprints, so a request relying on defaults and one spelling them
 // out coalesce together. The kernel fields take the catalogue's
-// canonical name and defaults. Negative sizes are left for validate to
-// reject.
+// canonical name and defaults, and strategy and technology names their
+// canonical spelling ("raxbs+hw" → "RaxBs+Hw", "mram" → "MRAM"). Negative
+// sizes and unknown names (a list holding one keeps its spelling) are
+// left for validate to reject.
 func (r Request) normalized() Request {
 	if r.Lanes == 0 {
 		r.Lanes = 1024
@@ -90,6 +90,15 @@ func (r Request) normalized() Request {
 	if r.Technology == "" {
 		r.Technology = "MRAM"
 	}
+	if t, err := pim.TechnologyNamed(r.Technology); err == nil {
+		r.Technology = t.Name
+	}
+	if ss, err := r.strategies(); err == nil && ss != nil {
+		r.Strategies = make([]string, len(ss))
+		for i, st := range ss {
+			r.Strategies[i] = st.Name()
+		}
+	}
 	if r.Devices == 0 {
 		r.Devices = 100_000
 	}
@@ -98,6 +107,11 @@ func (r Request) normalized() Request {
 	}
 	if len(r.Technologies) == 0 {
 		r.Technologies = []string{r.Technology}
+	} else if ts, err := r.technologies(); err == nil {
+		r.Technologies = make([]string, len(ts))
+		for i, t := range ts {
+			r.Technologies[i] = t.Name
+		}
 	}
 	return r
 }
@@ -146,7 +160,7 @@ func (r Request) validate(cfg Config) error {
 	if _, err := r.technologies(); err != nil {
 		return err
 	}
-	if _, err := parseStrategies(r.Strategies); err != nil {
+	if _, err := r.strategies(); err != nil {
 		return err
 	}
 	return nil
@@ -170,42 +184,20 @@ func (r Request) technologies() ([]pim.Technology, error) {
 	return out, nil
 }
 
-// parseStrategies converts paper labels ("RaxBs+Hw") into strategy
-// configurations; an empty list returns nil (the caller's default).
-func parseStrategies(labels []string) ([]pim.Strategy, error) {
-	if len(labels) == 0 {
+// strategies resolves the paper labels ("RaxBs+Hw") of the strategy
+// selection; an empty selection returns nil (the caller's default).
+func (r Request) strategies() ([]pim.Strategy, error) {
+	if len(r.Strategies) == 0 {
 		return nil, nil
 	}
-	out := make([]pim.Strategy, 0, len(labels))
-	for _, label := range labels {
-		s, err := parseStrategy(label)
-		if err != nil {
+	out := make([]pim.Strategy, len(r.Strategies))
+	for i, label := range r.Strategies {
+		var err error
+		if out[i], err = pim.StrategyNamed(label); err != nil {
 			return nil, err
 		}
-		out = append(out, s)
 	}
 	return out, nil
-}
-
-func parseStrategy(label string) (pim.Strategy, error) {
-	var s pim.Strategy
-	name := strings.TrimSpace(label)
-	if strings.HasSuffix(name, "+Hw") {
-		s.Hw = true
-		name = strings.TrimSuffix(name, "+Hw")
-	}
-	parts := strings.SplitN(name, "x", 2)
-	if len(parts) != 2 {
-		return s, fmt.Errorf("malformed strategy %q (want e.g. \"RaxBs+Hw\")", label)
-	}
-	var err error
-	if s.Within, err = mapping.ParseStrategy(parts[0]); err != nil {
-		return s, fmt.Errorf("strategy %q: %v", label, err)
-	}
-	if s.Between, err = mapping.ParseStrategy(parts[1]); err != nil {
-		return s, fmt.Errorf("strategy %q: %v", label, err)
-	}
-	return s, nil
 }
 
 // fingerprint is the coalescing key: two requests with the same

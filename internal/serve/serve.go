@@ -143,6 +143,10 @@ type Server struct {
 	// hook that holds jobs in the running state deterministically. Set
 	// before the first request; never touched in production.
 	testBeforeRun func(*job)
+	// testAfterDone, when non-nil, runs in finish right after the job's
+	// done channel closes — the test hook that submits into the window
+	// between a job turning terminal and finish returning.
+	testAfterDone func(*job)
 }
 
 // job is one accepted request moving through queued → running →
@@ -384,7 +388,7 @@ func (s *Server) run(j *job) (*JobResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	strategies, err := parseStrategies(req.Strategies)
+	strategies, err := req.strategies()
 	if err != nil {
 		return nil, err
 	}
@@ -501,9 +505,18 @@ func releaseTelemetry(results []*pim.Result) {
 	}
 }
 
-// finish moves a job to its terminal state and retires it from the
-// coalescing and history maps.
+// finish retires a job from coalescing, moves it to its terminal state
+// and records it in the history. The inflight entry goes first, under
+// s.mu: an identical request then either coalesced while the job was
+// still running, or starts fresh work — it never lands on a job that
+// has already finished.
 func (s *Server) finish(j *job, result *JobResult, err error, state string) {
+	s.mu.Lock()
+	if s.inflight[j.fp] == j {
+		delete(s.inflight, j.fp)
+	}
+	s.mu.Unlock()
+
 	j.mu.Lock()
 	switch {
 	case state != "":
@@ -522,6 +535,9 @@ func (s *Server) finish(j *job, result *JobResult, err error, state string) {
 	queueWait, compute, total := j.breakdownLocked()
 	j.mu.Unlock()
 	close(j.done)
+	if s.testAfterDone != nil {
+		s.testAfterDone(j)
+	}
 
 	switch terminal {
 	case "done":
@@ -546,9 +562,6 @@ func (s *Server) finish(j *job, result *JobResult, err error, state string) {
 	}
 
 	s.mu.Lock()
-	if s.inflight[j.fp] == j {
-		delete(s.inflight, j.fp)
-	}
 	s.finished = append(s.finished, j.id)
 	for len(s.finished) > s.cfg.History {
 		delete(s.jobs, s.finished[0])

@@ -217,6 +217,45 @@ func TestCoalescing(t *testing.T) {
 	// buffer holds every job this test starts.
 }
 
+// An identical request that arrives once a job has turned terminal
+// starts fresh work instead of coalescing onto the finished job: the
+// hook submits it right after the job's done channel closes, before
+// finish returns.
+func TestNoCoalescingOntoFinishedJob(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 4})
+	defer s.Close()
+	body, err := json.Marshal(smallSweep())
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/sweep", bytes.NewReader(body)))
+		return rec
+	}
+	late := make(chan *httptest.ResponseRecorder, 1)
+	var once sync.Once
+	s.testAfterDone = func(*job) { once.Do(func() { late <- submit() }) }
+
+	var first, second struct {
+		Job       string `json:"job"`
+		Coalesced bool   `json:"coalesced"`
+	}
+	if err := json.NewDecoder(submit().Body).Decode(&first); err != nil {
+		t.Fatal(err)
+	}
+	rec := <-late
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("late submit: status %d, body %s", rec.Code, rec.Body)
+	}
+	if err := json.NewDecoder(rec.Body).Decode(&second); err != nil {
+		t.Fatal(err)
+	}
+	if second.Coalesced || second.Job == first.Job {
+		t.Errorf("request after job %s finished coalesced onto it: %+v", first.Job, second)
+	}
+}
+
 // A full queue sheds with a clean 429 + Retry-After, not a dropped
 // connection, and the shed request leaves no trace in the jobs map.
 func TestSheddingReturns429(t *testing.T) {
@@ -752,6 +791,25 @@ func TestFingerprintCanonicalization(t *testing.T) {
 	if implicit.fingerprint("sweep") == implicit.fingerprint("fleet") {
 		t.Error("/sweep and /fleet share a fingerprint")
 	}
+	for _, pair := range [][2]Request{
+		{{Benchmark: "mult", Strategies: []string{"raxbs+hw"}}, {Benchmark: "mult", Strategies: []string{"RaxBs+Hw"}}},
+		{{Benchmark: "mult", Strategies: []string{"RAXST", " stxbs+HW"}}, {Benchmark: "mult", Strategies: []string{"RaxSt", "StxBs+Hw"}}},
+		{{Benchmark: "mult", Technology: "mram"}, {Benchmark: "mult", Technology: "MRAM"}},
+		{{Benchmark: "mult", Technologies: []string{"pcm", "rram"}}, {Benchmark: "mult", Technologies: []string{"PCM", "RRAM"}}},
+	} {
+		a, b := pair[0].normalized(), pair[1].normalized()
+		if a.fingerprint("sweep") != b.fingerprint("sweep") {
+			t.Errorf("%+v and %+v fingerprint differently", pair[0], pair[1])
+		}
+	}
+	// An invalid label keeps its spelling, so validate still rejects it.
+	bad := Request{Benchmark: "mult", Strategies: []string{"QqxSt"}, Technology: "flash"}.normalized()
+	if bad.Strategies[0] != "QqxSt" || bad.Technology != "flash" {
+		t.Errorf("invalid names rewritten: %+v", bad)
+	}
+	if err := bad.validate(Config{}.withDefaults()); err == nil {
+		t.Error("invalid strategy and technology validated")
+	}
 	seeded := implicit
 	seeded.Seed = 1
 	if implicit.fingerprint("sweep") == seeded.fingerprint("sweep") {
@@ -759,26 +817,29 @@ func TestFingerprintCanonicalization(t *testing.T) {
 	}
 }
 
+// A request's strategy labels resolve to the strategies they name and
+// round-trip through Name; a malformed label fails the request.
 func TestParseStrategy(t *testing.T) {
 	for label, want := range map[string]pim.Strategy{
 		"StxSt":    {Within: pim.Static, Between: pim.Static},
 		"RaxBs+Hw": {Within: pim.Random, Between: pim.ByteShift, Hw: true},
 		"BsxRa":    {Within: pim.ByteShift, Between: pim.Random},
 	} {
-		got, err := parseStrategy(label)
+		got, err := Request{Strategies: []string{label}}.strategies()
 		if err != nil {
 			t.Errorf("%s: %v", label, err)
 			continue
 		}
-		if got != want {
-			t.Errorf("%s parsed to %+v, want %+v", label, got, want)
+		if len(got) != 1 || got[0] != want {
+			t.Errorf("%s parsed to %+v, want [%+v]", label, got, want)
+			continue
 		}
-		if got.Name() != label {
-			t.Errorf("%s round-trips to %s", label, got.Name())
+		if got[0].Name() != label {
+			t.Errorf("%s round-trips to %s", label, got[0].Name())
 		}
 	}
 	for _, bad := range []string{"", "St", "StSt", "QqxSt", "Stx"} {
-		if _, err := parseStrategy(bad); err == nil {
+		if _, err := (Request{Strategies: []string{bad}}).strategies(); err == nil {
 			t.Errorf("malformed strategy %q accepted", bad)
 		}
 	}

@@ -146,21 +146,28 @@ func (k Kernel) conv() ConvConfig {
 	return ConvConfig{GroupLanes: k.GroupLanes, MultsPerLane: k.MultsPerLane, Bits: k.Bits}
 }
 
-// build is every constructor's frame: it checks the configuration and
-// the kernel's shape, lets body emit the ops on a fresh builder and
-// return the benchmark's name, description and checker, then attaches
-// the validated trace. A builder panic (the program outgrew Rows)
-// becomes an error.
-func build(cfg Config, shape Kernel, body func(bld *program.Builder, basis synth.Basis) *Benchmark) (bench *Benchmark, err error) {
+// build is every catalogue constructor's frame: it checks the kernel's
+// shape, then compiles body in Build.
+func build(cfg Config, shape Kernel, body func(bld *program.Builder, basis synth.Basis) *Benchmark) (*Benchmark, error) {
+	if err := shape.Check(cfg.Lanes); err != nil {
+		return nil, err
+	}
+	return Build(cfg, body)
+}
+
+// Build is the frame every kernel compiles in, the catalogue's and
+// pim/kernel's expression kernels alike: it checks the configuration,
+// lets body emit the ops on a fresh builder with the configuration's
+// allocator and return the benchmark's name, description and checker,
+// then attaches the validated trace. A builder panic (the program
+// outgrew Rows) becomes an error.
+func Build(cfg Config, body func(bld *program.Builder, basis synth.Basis) *Benchmark) (bench *Benchmark, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			bench, err = nil, fmt.Errorf("workloads: %v (increase Rows?)", r)
 		}
 	}()
 	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if err := shape.Check(cfg.Lanes); err != nil {
 		return nil, err
 	}
 	bld := program.NewBuilder(cfg.Lanes, cfg.Rows-1)

@@ -109,30 +109,13 @@ func Compile(opt pim.Options, name string, outputs ...OutputNode) (*pim.Benchmar
 	if len(outputs) == 0 {
 		return nil, fmt.Errorf("kernel: no outputs")
 	}
-	cfg := optionsToConfig(opt)
 	if err := validateDAG(outputs); err != nil {
 		return nil, err
 	}
-
 	order, refs := schedule(outputs)
-
-	bench, err := buildTrace(cfg, name, order, refs, outputs)
-	if err != nil {
-		return nil, err
-	}
-	return bench, nil
-}
-
-func optionsToConfig(opt pim.Options) workloads.Config {
-	b := synth.Basis(synth.NAND)
-	if !opt.NANDBasis {
-		b = synth.Mixed2
-	}
-	alloc := program.NextFit
-	if opt.LowestFirstAlloc {
-		alloc = program.LowestFirst
-	}
-	return workloads.Config{Lanes: opt.Lanes, Rows: opt.Rows, Basis: b, Alloc: alloc}
+	return workloads.Build(opt.Config(), func(bld *program.Builder, basis synth.Basis) *pim.Benchmark {
+		return emit(bld, basis, opt.Lanes, name, order, refs, outputs)
+	})
 }
 
 // validateDAG checks widths and arities.
@@ -204,20 +187,11 @@ func schedule(outputs []OutputNode) ([]*Node, map[*Node]int) {
 	return order, refs
 }
 
-func buildTrace(cfg workloads.Config, name string, order []*Node, refs map[*Node]int,
-	outputs []OutputNode) (bench *pim.Benchmark, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			bench, err = nil, fmt.Errorf("kernel: %v (increase Rows?)", r)
-		}
-	}()
-	basis := cfg.Basis
-	if basis == nil {
-		basis = synth.NAND
-	}
-	bld := program.NewBuilder(cfg.Lanes, cfg.Rows-1)
-	bld.SetAllocPolicy(cfg.Alloc)
-
+// emit synthesizes the scheduled DAG onto bld and returns the
+// benchmark's name, description and checker (workloads.Build attaches
+// the trace).
+func emit(bld *program.Builder, basis synth.Basis, lanes int, name string, order []*Node,
+	refs map[*Node]int, outputs []OutputNode) *pim.Benchmark {
 	bits := map[*Node][]program.Bit{}
 	inputSlot := map[*Node]int{}
 	remaining := map[*Node]int{}
@@ -272,23 +246,16 @@ func buildTrace(cfg workloads.Config, name string, order []*Node, refs map[*Node
 		release(o.n)
 	}
 
-	tr := bld.Trace()
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	lanes := cfg.Lanes
-	outs := outputs
 	return &pim.Benchmark{
 		Name:        name,
-		Description: fmt.Sprintf("kernel %q: %d inputs, %d nodes, %d outputs, %d lanes", name, len(inputSlot), len(order), len(outs), lanes),
-		Trace:       tr,
+		Description: fmt.Sprintf("kernel %q: %d inputs, %d nodes, %d outputs, %d lanes", name, len(inputSlot), len(order), len(outputs), lanes),
 		Check: func(data workloads.DataFunc, out workloads.OutFunc) error {
 			for l := 0; l < lanes; l++ {
 				vals := map[*Node]*big.Int{}
 				for _, n := range order {
 					vals[n] = evalNode(n, vals, data, inputSlot, l)
 				}
-				for i, o := range outs {
+				for i, o := range outputs {
 					want := vals[o.n]
 					got := new(big.Int)
 					for b := 0; b < o.n.bits; b++ {
@@ -304,7 +271,7 @@ func buildTrace(cfg workloads.Config, name string, order []*Node, refs map[*Node
 			}
 			return nil
 		},
-	}, nil
+	}
 }
 
 type gateFn func(b synth.Basis, bld *program.Builder, x, y program.Bit) program.Bit

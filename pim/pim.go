@@ -144,7 +144,10 @@ func DefaultOptions() Options {
 	return Options{Lanes: 1024, Rows: 1024, PresetOutputs: true, NANDBasis: true}
 }
 
-func (o Options) workloadConfig() workloads.Config {
+// Config is the one mapping of the options onto a kernel compile
+// configuration — NANDBasis picks the basis, LowestFirstAlloc the
+// allocator — shared by every constructor here and by pim/kernel.
+func (o Options) Config() workloads.Config {
 	b := synth.Basis(synth.NAND)
 	if !o.NANDBasis {
 		b = synth.Mixed2
@@ -159,31 +162,31 @@ func (o Options) workloadConfig() workloads.Config {
 // NewParallelMult compiles the embarrassingly parallel multiplication
 // benchmark (§4) at the given operand precision.
 func NewParallelMult(opt Options, bits int) (*Benchmark, error) {
-	return workloads.ParallelMult(opt.workloadConfig(), bits)
+	return workloads.ParallelMult(opt.Config(), bits)
 }
 
 // NewDotProduct compiles the n-element dot-product benchmark (§4).
 func NewDotProduct(opt Options, n, bits int) (*Benchmark, error) {
-	return workloads.DotProduct(opt.workloadConfig(), n, bits)
+	return workloads.DotProduct(opt.Config(), n, bits)
 }
 
 // NewConvolution compiles the convolution benchmark; groupLanes lanes
 // cooperate per filter position, each performing multsPerLane sequential
 // multiplications (§4 uses 4×3 at 8 bits).
 func NewConvolution(opt Options, groupLanes, multsPerLane, bits int) (*Benchmark, error) {
-	return workloads.Convolution(opt.workloadConfig(),
+	return workloads.Convolution(opt.Config(),
 		workloads.ConvConfig{GroupLanes: groupLanes, MultsPerLane: multsPerLane, Bits: bits})
 }
 
 // NewVectorAdd compiles the parallel-addition extension benchmark.
 func NewVectorAdd(opt Options, bits int) (*Benchmark, error) {
-	return workloads.VectorAdd(opt.workloadConfig(), bits)
+	return workloads.VectorAdd(opt.Config(), bits)
 }
 
 // NewBNNLayer compiles the binarized-neural-network extension benchmark:
 // one n-synapse XNOR-popcount-threshold neuron per lane.
 func NewBNNLayer(opt Options, synapses int) (*Benchmark, error) {
-	return workloads.BNNLayer(opt.workloadConfig(), synapses)
+	return workloads.BNNLayer(opt.Config(), synapses)
 }
 
 // KernelSpec names a kernel of the catalogue and its parameters; a zero
@@ -195,14 +198,14 @@ type KernelSpec = workloads.Kernel
 // NewKernel compiles a catalogue kernel: the one name→kernel path behind
 // every CLI, the job server and PaperBenchmarks.
 func NewKernel(opt Options, k KernelSpec) (*Benchmark, error) {
-	return workloads.Compile(opt.workloadConfig(), k)
+	return workloads.Compile(opt.Config(), k)
 }
 
 // PaperBenchmarks compiles the paper's three kernels at their §4
 // parameters, in figure order: multiplication (Fig. 14), convolution
 // (Fig. 15) and dot-product (Fig. 16).
 func PaperBenchmarks(opt Options) ([]*Benchmark, error) {
-	return workloads.PaperSuite(opt.workloadConfig())
+	return workloads.PaperSuite(opt.Config())
 }
 
 // TechnologyNamed returns the device model of the given name ("MRAM",
@@ -214,6 +217,28 @@ func TechnologyNamed(name string) (Technology, error) {
 		}
 	}
 	return Technology{}, fmt.Errorf("unknown technology %q (MRAM, RRAM, PCM, MRAM-projected)", name)
+}
+
+// StrategyNamed parses a paper configuration label ("StxSt",
+// "RaxBs+Hw") into its Strategy: the inverse of Strategy.Name. Labels
+// match case-insensitively, and either side of the "x" may also be
+// spelled out ("static", "random", "byteshift").
+func StrategyNamed(label string) (Strategy, error) {
+	var s Strategy
+	name, hw := strings.CutSuffix(strings.ToLower(strings.TrimSpace(label)), "+hw")
+	within, between, ok := strings.Cut(name, "x")
+	if !ok {
+		return s, fmt.Errorf("malformed strategy %q (want e.g. \"RaxBs+Hw\")", label)
+	}
+	var err error
+	if s.Within, err = mapping.ParseStrategy(within); err != nil {
+		return s, fmt.Errorf("strategy %q: %v", label, err)
+	}
+	if s.Between, err = mapping.ParseStrategy(between); err != nil {
+		return s, fmt.Errorf("strategy %q: %v", label, err)
+	}
+	s.Hw = hw
+	return s, nil
 }
 
 // RunConfig controls an endurance simulation.
@@ -526,11 +551,7 @@ func UpperBoundSeconds(rows, lanes int, tech Technology) float64 {
 // WriteAmplification is §3.1's PIM-vs-conventional write ratio for a b-bit
 // multiply (153.5× at 32 bits in the NAND basis).
 func WriteAmplification(opt Options, bits int) float64 {
-	b := synth.Basis(synth.NAND)
-	if !opt.NANDBasis {
-		b = synth.Mixed2
-	}
-	return baseline.WriteAmplification(b, bits)
+	return baseline.WriteAmplification(opt.Config().Basis, bits)
 }
 
 // UsableFraction is Fig. 11b's closed form: expected usable fraction of
